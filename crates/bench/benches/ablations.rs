@@ -15,8 +15,13 @@
 //!    per-singleton signing cost is the dominant grant component
 //!    (Fig. 7c), so this shows what smaller/bigger signer keys would
 //!    change.
-//! 4. **RSA-CRT.** Signing uses the CRT; this measures the speedup over
-//!    plain private-exponent exponentiation.
+//! 4. **RSA-CRT and key set-up.** Signing uses the CRT; this measures
+//!    the speedup over plain private-exponent exponentiation, then the
+//!    same split for the handshake's KEM decapsulation at the 1024-bit
+//!    channel-key size (after asserting it recovers the encapsulated
+//!    secret), then the per-key Montgomery set-up at 3072 bits: one
+//!    division for `R^2 mod n` against the earlier 64·k doublings
+//!    (after asserting both contexts exponentiate identically).
 //! 5. **Dedicated Montgomery squaring.** Squarings dominate windowed
 //!    exponentiation (four per 4-bit window); `ablation/mont-sqr`
 //!    measures RSA-3072 CRT signing on the `mont_sqr` fast path
@@ -81,7 +86,7 @@ use sinclave::signer::{sign_enclave, SignerConfig};
 use sinclave::verifier::SingletonIssuer;
 use sinclave::{AttestationToken, BaseEnclaveHash};
 use sinclave_bench::hash_buffer;
-use sinclave_crypto::bignum::Uint;
+use sinclave_crypto::bignum::{Montgomery, Uint};
 use sinclave_crypto::rsa::RsaPrivateKey;
 use sinclave_crypto::sha256;
 use sinclave_sgx::secinfo::SecInfo;
@@ -195,6 +200,39 @@ fn bench_crt(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(m.mod_pow(private_exponent(&key), key.public_key().modulus()))
         });
+    });
+
+    // Handshake decapsulation at the channel-key size: CRT through the
+    // signing helper against the earlier full-width c^d mod n (a fresh
+    // context plus a d-width exponent, as `mod_pow` does it).
+    let channel_key = RsaPrivateKey::generate(&mut rng, 1024).expect("keygen");
+    let (ciphertext, shared) =
+        channel_key.public_key().kem_encapsulate(&mut rng).expect("encapsulate");
+    assert_eq!(channel_key.kem_decapsulate(&ciphertext).expect("decapsulate"), shared);
+    group.bench_function("kem-decapsulate-crt", |b| {
+        b.iter(|| channel_key.kem_decapsulate(&ciphertext).expect("decapsulate"));
+    });
+    group.bench_function("kem-decapsulate-full-width", |b| {
+        let c = Uint::from_be_bytes(&ciphertext);
+        let n = channel_key.public_key().modulus();
+        b.iter(|| std::hint::black_box(c.mod_pow(private_exponent(&channel_key), n)));
+    });
+
+    // Per-key Montgomery set-up at the signer-key width: every key
+    // parse and every `mod_pow` builds one. The cost depends only on
+    // the width, so any odd 3072-bit value stands in for a modulus.
+    let mut modulus = Uint::from_be_bytes(&hash_buffer(384));
+    modulus.set_bit(3071);
+    modulus.set_bit(0);
+    let fast = Montgomery::new(&modulus).expect("odd modulus");
+    let doubling = Montgomery::new_by_doubling(&modulus).expect("odd modulus");
+    let (base, exponent) = (Uint::from_be_bytes(&hash_buffer(200)), Uint::from_u64(65_537));
+    assert_eq!(fast.pow(&base, &exponent), doubling.pow(&base, &exponent));
+    group.bench_function("montgomery-setup", |b| {
+        b.iter(|| Montgomery::new(&modulus).expect("odd modulus"));
+    });
+    group.bench_function("montgomery-setup-doubling", |b| {
+        b.iter(|| Montgomery::new_by_doubling(&modulus).expect("odd modulus"));
     });
     group.finish();
 }

@@ -37,7 +37,7 @@
 //! pooled path.
 
 use crate::middleware::{MiddlewareChain, MiddlewareConfig};
-use crate::server::{CasServer, ServeGuard};
+use crate::server::{CasServer, Request, ServeGuard};
 use crate::trace::{self, SpanOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,7 +118,7 @@ enum LoopMsg {
 struct Job {
     loop_id: usize,
     token: u64,
-    message: Message,
+    request: Request,
     session: Box<Session>,
     /// When the request's raw frame was read off the connection — the
     /// start of the end-to-end `request` latency sample the compute
@@ -269,7 +269,7 @@ fn run_reactor(
             scope.spawn(move || {
                 while let Ok(job) = job_rx.recv() {
                     let completion =
-                        run_job(server, &chain, job.message, job.received, job.session, job.trace);
+                        run_job(server, &chain, job.request, job.received, job.session, job.trace);
                     inboxes[job.loop_id]
                         .lock()
                         .push_back(LoopMsg::Completed { token: job.token, session: completion });
@@ -318,7 +318,7 @@ fn run_reactor(
 fn run_job(
     server: &CasServer,
     chain: &MiddlewareChain,
-    message: Message,
+    request: Request,
     received: Instant,
     mut session: Box<Session>,
     active: Option<Box<trace::ActiveTrace>>,
@@ -328,7 +328,7 @@ fn run_job(
     }
     let Some(reply) = server.dispatch_deduped(
         chain,
-        message,
+        request,
         &mut session.outstanding_nonce,
         &session.transcript,
         &mut session.rng,
@@ -664,9 +664,12 @@ fn step_conn(
             state.last_activity = Instant::now();
             // lint: allow(panic) — phase variant pinned by the enclosing match arm
             let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
-            // Handshake flights stay on the loop: KEM decapsulation is
-            // micro-scale next to the RSA work the compute pool
-            // exists for.
+            // Handshake flights stay on the loop, KEM decapsulation
+            // included. That is not free: a CRT decapsulation under an
+            // RSA-1024 channel key costs ≈0.3 ms on a 2-vCPU x86-64
+            // host (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.8–1.1 ms
+            // for the full-width exponentiation it replaced), during
+            // which this loop's other connections wait.
             match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
                 Ok(None) => Step::Continue,
                 Ok(Some(channel)) => {
@@ -714,12 +717,12 @@ fn step_conn(
                         }
                         trace::install(started);
                     }
-                    match server.admission_refusal(chain, &message) {
+                    match server.admit(chain, message) {
                         // Admitted: check the session out to the compute
                         // pool and stop draining — at most one request in
                         // flight per connection keeps dispatch order equal
                         // to receive order.
-                        None => {
+                        Ok(request) => {
                             let Phase::Idle(session) =
                                 std::mem::replace(&mut state.phase, Phase::Busy)
                             else {
@@ -732,7 +735,7 @@ fn step_conn(
                             let received = state.last_activity;
                             let trace = trace::take();
                             return if jobs
-                                .send(Job { loop_id, token, message, session, received, trace })
+                                .send(Job { loop_id, token, request, session, received, trace })
                                 .is_err()
                             {
                                 Step::Close
@@ -740,7 +743,7 @@ fn step_conn(
                                 Step::Drained
                             };
                         }
-                        Some(refused) => refused,
+                        Err(refused) => refused,
                     }
                 }
                 Err(_) => Message::Denied { reason: "malformed message".into() },

@@ -407,10 +407,10 @@ fn forward_reply(
                 trace::install(started);
             }
             let chain = server.middleware();
-            let response = match server.admission_refusal(&chain, &message) {
-                Some(refused) => Some(refused.to_bytes()),
-                None => server
-                    .dispatch_deduped(&chain, message, &mut None, transcript, rng)
+            let response = match server.admit(&chain, message) {
+                Err(refused) => Some(refused.to_bytes()),
+                Ok(request) => server
+                    .dispatch_deduped(&chain, request, &mut None, transcript, rng)
                     .map(|reply| reply.to_bytes()),
             };
             let spans = trace::take()

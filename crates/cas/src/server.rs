@@ -511,6 +511,47 @@ impl Drop for ServeGuard {
     }
 }
 
+/// An admitted client request on its way to dispatch. A grant's
+/// common SigStruct is decoded once, at admission: the rate-limit and
+/// quota layers charge its signer and the issuer validates and signs
+/// from the same parsed value.
+pub(crate) struct Request {
+    message: Message,
+    /// The grant's parsed common SigStruct; `None` for every other
+    /// message and for a grant whose SigStruct does not decode.
+    grant_sigstruct: Option<SigStruct>,
+}
+
+impl Request {
+    fn new(message: Message) -> Request {
+        let grant_sigstruct = match &message {
+            Message::GrantRequest { common_sigstruct, .. } => {
+                SigStruct::from_bytes(common_sigstruct).ok()
+            }
+            _ => None,
+        };
+        Request { message, grant_sigstruct }
+    }
+
+    /// The stable identity the rate-limit and quota layers charge the
+    /// request to: the SigStruct signer for grants (one key pair per
+    /// application vendor), the config id for attestations. Control
+    /// messages (ping, challenge) carry no identity and are never
+    /// charged. The signer is the fingerprint of the *parsed* key, so
+    /// a non-canonical encoding of one key (say, with leading zero
+    /// bytes) cannot open a second identity for the same signer.
+    fn identity(&self) -> Option<Digest> {
+        match &self.message {
+            Message::GrantRequest { .. } => self.grant_sigstruct.as_ref().map(SigStruct::mrsigner),
+            Message::AttestRequest { config_id, .. }
+            | Message::BaselineAttestRequest { config_id, .. } => {
+                Some(sinclave_crypto::sha256::digest_parts(&[config_id.as_bytes()]))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl Drop for CasServer {
     fn drop(&mut self) {
         // A server dropped without an explicit [`CasServer::shutdown`]
@@ -1404,24 +1445,6 @@ impl CasServer {
         }
     }
 
-    /// The stable identity the rate-limit and quota layers charge a
-    /// request to: the SigStruct signer for grants (one key pair per
-    /// application vendor), the config id for attestations. Control
-    /// messages (ping, challenge) carry no identity and are never
-    /// charged.
-    fn request_identity(message: &Message) -> Option<Digest> {
-        match message {
-            Message::GrantRequest { common_sigstruct, .. } => {
-                SigStruct::from_bytes(common_sigstruct).ok().map(|s| s.mrsigner())
-            }
-            Message::AttestRequest { config_id, .. }
-            | Message::BaselineAttestRequest { config_id, .. } => {
-                Some(sinclave_crypto::sha256::digest_parts(&[config_id.as_bytes()]))
-            }
-            _ => None,
-        }
-    }
-
     /// Whether dispatching `message` will need a journal append (and
     /// therefore must pass the circuit breaker while journaling is
     /// enabled): grants journal their token delta, singleton
@@ -1430,22 +1453,26 @@ impl CasServer {
         matches!(message, Message::GrantRequest { .. } | Message::AttestRequest { .. })
     }
 
-    /// Runs the per-request admission layers in fixed order (rate
-    /// limit → quota → breaker); returns the refusal reply if any
-    /// layer refuses, `None` to proceed to dispatch. Shared verbatim
-    /// by both serving paths.
-    pub(crate) fn admission_refusal(
+    /// Decodes `message` into a [`Request`] and runs the per-request
+    /// admission layers in fixed order (rate limit → quota →
+    /// breaker); returns the admitted request to dispatch, or the
+    /// refusal reply if any layer refuses. Shared verbatim by both
+    /// serving paths and by forwarded writes on a primary.
+    pub(crate) fn admit(
         &self,
         chain: &MiddlewareChain,
-        message: &Message,
-    ) -> Option<Message> {
+        message: Message,
+    ) -> Result<Request, Message> {
         let admitting = Instant::now();
-        let refusal = match Self::request_identity(message) {
+        let request = Request::new(message);
+        let refusal = match request.identity() {
             Some(identity) => chain.admit(&identity).err(),
             None => None,
         }
         .or_else(|| {
-            if Self::needs_journal_append(message) && self.journal_mode() != JournalMode::Disabled {
+            if Self::needs_journal_append(&request.message)
+                && self.journal_mode() != JournalMode::Disabled
+            {
                 chain.admit_journaling().err()
             } else {
                 None
@@ -1453,7 +1480,7 @@ impl CasServer {
         });
         let Some(refusal) = refusal else {
             trace::record_elapsed("admission", admitting.elapsed(), SpanOutcome::Ok);
-            return None;
+            return Ok(request);
         };
         match refusal {
             Refusal::RateLimited => &self.stats.requests_rate_limited,
@@ -1468,7 +1495,7 @@ impl CasServer {
         trace::record_elapsed("admission", admitting.elapsed(), SpanOutcome::Refused);
         // The caller counts the Denied reply in `denials` like any
         // other refusal; here only the per-layer counter moves.
-        Some(Message::Denied { reason: refusal.reason().into() })
+        Err(Message::Denied { reason: refusal.reason().into() })
     }
 
     /// Dispatches under the panic-isolation layer: a panic anywhere in
@@ -1478,13 +1505,13 @@ impl CasServer {
     /// thread or an event loop.
     pub(crate) fn dispatch_isolated(
         &self,
-        message: Message,
+        request: Request,
         outstanding_nonce: &mut Option<[u8; 16]>,
         transcript: &Digest,
         rng: &mut (impl RngCore + ?Sized),
     ) -> Option<Message> {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch(message, outstanding_nonce, transcript, rng)
+            self.dispatch(request, outstanding_nonce, transcript, rng)
         }));
         match caught {
             Ok(reply) => Some(reply),
@@ -1785,11 +1812,11 @@ impl CasServer {
                         if let Some(started) = self.tracer.begin(inherited) {
                             trace::install(started);
                         }
-                        match self.admission_refusal(&chain, &message) {
-                            Some(refused) => (refused, trace::take()),
-                            None => match self.dispatch_deduped(
+                        match self.admit(&chain, message) {
+                            Err(refused) => (refused, trace::take()),
+                            Ok(request) => match self.dispatch_deduped(
                                 &chain,
-                                message,
+                                request,
                                 &mut outstanding_nonce,
                                 &transcript,
                                 rng,
@@ -1844,7 +1871,7 @@ impl CasServer {
     pub(crate) fn dispatch_deduped(
         &self,
         chain: &MiddlewareChain,
-        message: Message,
+        request: Request,
         outstanding_nonce: &mut Option<[u8; 16]>,
         transcript: &Digest,
         rng: &mut (impl RngCore + ?Sized),
@@ -1854,8 +1881,8 @@ impl CasServer {
         // retrievals are read-mostly, and a redemption retry must be
         // *refused*, not replayed — exactly-once is the product.
         let key = (chain.config().dedup.is_some()
-            && matches!(message, Message::GrantRequest { .. }))
-        .then(|| sinclave_crypto::sha256::digest(&message.to_bytes()));
+            && matches!(request.message, Message::GrantRequest { .. }))
+        .then(|| sinclave_crypto::sha256::digest(&request.message.to_bytes()));
         if let Some(key) = &key {
             let replaying = Instant::now();
             if let Some(cached) = chain.dedup_lookup(key) {
@@ -1872,9 +1899,9 @@ impl CasServer {
             }
         }
         let reply = if chain.config().isolate_panics {
-            self.dispatch_isolated(message, outstanding_nonce, transcript, rng)?
+            self.dispatch_isolated(request, outstanding_nonce, transcript, rng)?
         } else {
-            self.dispatch(message, outstanding_nonce, transcript, rng)
+            self.dispatch(request, outstanding_nonce, transcript, rng)
         };
         if let Some(key) = key {
             if matches!(reply, Message::GrantResponse { .. }) {
@@ -1886,11 +1913,12 @@ impl CasServer {
 
     pub(crate) fn dispatch(
         &self,
-        message: Message,
+        request: Request,
         outstanding_nonce: &mut Option<[u8; 16]>,
         transcript: &Digest,
         rng: &mut (impl RngCore + ?Sized),
     ) -> Message {
+        let Request { message, grant_sigstruct } = request;
         // Write routing: a follower linearizes grants through the
         // primary; a fenced (deposed) primary refuses them outright.
         // Reads — ping, challenge, attested retrieval — stay local on
@@ -1942,8 +1970,8 @@ impl CasServer {
                 *outstanding_nonce = Some(nonce);
                 Message::Challenge { nonce }
             }
-            Message::GrantRequest { common_sigstruct, base_hash } => {
-                self.handle_grant(&common_sigstruct, &base_hash, rng)
+            Message::GrantRequest { base_hash, .. } => {
+                self.handle_grant(grant_sigstruct.as_ref(), &base_hash, rng)
             }
             Message::AttestRequest { quote, token, config_id } => {
                 self.handle_attest(&quote, Some(token), &config_id, outstanding_nonce, transcript)
@@ -1965,11 +1993,11 @@ impl CasServer {
 
     fn handle_grant(
         &self,
-        common_sigstruct: &[u8],
+        sigstruct: Option<&SigStruct>,
         base_hash: &[u8],
         rng: &mut (impl RngCore + ?Sized),
     ) -> Message {
-        let Ok(sigstruct) = SigStruct::from_bytes(common_sigstruct) else {
+        let Some(sigstruct) = sigstruct else {
             return Message::Denied { reason: "sigstruct malformed".into() };
         };
         let Ok(base_hash) = BaseEnclaveHash::decode(base_hash) else {
@@ -1980,7 +2008,7 @@ impl CasServer {
         // the same binary skip both the instance-page re-hashing and
         // the ~0.4 ms RSA verification — the two cacheable components
         // of Fig. 7c's retrieval cost.
-        match self.issuer.issue(rng, &sigstruct, &base_hash) {
+        match self.issuer.issue(rng, sigstruct, &base_hash) {
             Ok(grant) => {
                 // Durability ordering: the grant delta is journaled
                 // before the reply exists, so a crash after the ack

@@ -64,7 +64,11 @@ impl Nonce {
 /// Returns `ciphertext || tag` (ciphertext length + 16).
 #[must_use]
 pub fn seal(key: &AeadKey, nonce: Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
+    // Sized for the tag up front: appending it to an exact-length copy
+    // would reallocate to twice the plaintext length, and sealed
+    // journal chunks keep that allocation for the volume's lifetime.
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
     chacha20::xor_in_place(&key.0, &nonce.0, 1, &mut out);
     let tag = compute_tag(key, nonce, aad, &out);
     out.extend_from_slice(&tag);
