@@ -53,15 +53,13 @@
 //!    designs are costed like hardware — after asserting that a
 //!    journaled redemption survives a crash-rebuild and that the
 //!    disabled journal honestly reopens the window.
-//! 10. **Reactor vs. thread-per-connection serving.**
-//!     `ablation/reactor` measures a mostly-idle 1 000-connection
-//!     fan-in served by the readiness-driven reactor (a handful of
-//!     threads) against the pooled path sized thread-per-connection —
-//!     after asserting two gates: a single-loop single-worker reactor
-//!     with middleware off answers a scripted session byte-identically
-//!     to the 1-worker pool, and a slow-loris fleet is reaped on its
-//!     deadlines without touching healthy clients (and without being
-//!     miscounted as tampering).
+//! 10. **Reactor fan-in.** `ablation/reactor` measures a mostly-idle
+//!     1 000-connection fan-in served by the readiness-driven reactor
+//!     on four threads — after a slow-loris gate: a fleet of silent
+//!     connections is reaped on its deadlines without touching healthy
+//!     clients (and without being miscounted as tampering). The
+//!     reactor's byte-level determinism is pinned by the
+//!     golden-transcript test (`tests/serving_golden.rs`).
 //! 11. **Replicated read scaling.** `ablation/replication` measures a
 //!     read-mostly session burst against one node and against a
 //!     primary plus two live followers (journal streams attached) —
@@ -519,8 +517,8 @@ fn bench_journal(c: &mut Criterion) {
             .collect()
     };
 
-    // A persistent pool of redeemers models the sharded worker pool's
-    // concurrent attest connections: per iteration, `BATCH` registered
+    // A persistent pool of redeemers models the reactor's compute
+    // workers serving concurrent attest connections: per iteration, `BATCH` registered
     // tokens are redeemed durably across the pool. Group commit lets
     // concurrent redemptions share sealed appends (and their flushes);
     // per-record mode pays one flush each; snapshot-per-event pays a
@@ -581,54 +579,13 @@ fn bench_journal(c: &mut Criterion) {
 fn bench_reactor(c: &mut Criterion) {
     use sinclave::protocol::Message;
     use sinclave_attack::starvation::SlowLoris;
-    use sinclave_bench::{fan_in_burst, BenchWorld, ServePath};
+    use sinclave_bench::{fan_in_burst, BenchWorld};
     use sinclave_cas::MiddlewareConfig;
     use sinclave_net::SecureChannel;
-    use sinclave_runtime::ProgramImage;
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
-    // Gate 1 — determinism. The fully serialized reactor (one event
-    // loop, one compute worker, middleware off) must answer a scripted
-    // two-session request sequence byte-for-byte like the 1-worker
-    // pool. Two worlds from the same seed hold identical keys, so the
-    // decrypted reply records must match exactly.
-    let script = |reactor: bool| -> Vec<Vec<u8>> {
-        let world = BenchWorld::new(0xac7);
-        let packaged = world.package(&ProgramImage::interpreter("python-3.8", 8));
-        let addr = if reactor { "cas:abl-react" } else { "cas:abl-pool" };
-        let server = if reactor {
-            world.cas.serve_reactor_with(&world.network, addr, 2, 0xd0, 1, 1)
-        } else {
-            world.cas.serve_with_workers(&world.network, addr, 2, 0xd0, 1)
-        };
-        let mut replies = Vec::new();
-        for session in 0..2u64 {
-            let conn = world.network.connect(addr).expect("connect");
-            let mut rng = StdRng::seed_from_u64(0xc11e47 + session);
-            let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
-            for request in [
-                Message::GrantRequest {
-                    common_sigstruct: packaged.signed.common_sigstruct.to_bytes(),
-                    base_hash: packaged.signed.base_hash.encode().to_vec(),
-                },
-                Message::ChallengeRequest,
-                Message::Ping,
-            ] {
-                chan.send(&request.to_bytes()).expect("send");
-                replies.push(chan.recv().expect("recv"));
-            }
-        }
-        server.join().expect("serve");
-        replies
-    };
-    assert_eq!(
-        script(false),
-        script(true),
-        "reactor with middleware off must serve bit-identically to the 1-worker pool"
-    );
-
-    // Gate 2 — slow-loris resilience. A fleet of silent connections is
+    // Gate — slow-loris resilience. A fleet of silent connections is
     // reaped on its inactivity deadlines while healthy clients keep
     // being served; reaping is timeouts, never tamper counts.
     {
@@ -663,16 +620,10 @@ fn bench_reactor(c: &mut Criterion) {
         assert_eq!(stats.records_rejected.load(Ordering::Relaxed), 0);
     }
 
-    // The measurement: 1 000 mostly-idle connections, pool sized
-    // thread-per-connection against the reactor's fixed handful.
+    // The measurement: 1 000 mostly-idle connections served by two
+    // event loops and two compute workers.
     const CONNECTIONS: usize = 1_000;
     const PINGS: usize = 2;
-    let reactor = ServePath::Reactor { loops: 2, compute: 2 };
-    let pool = ServePath::Pool { workers: CONNECTIONS };
-    assert!(
-        pool.serving_threads() >= 10 * reactor.serving_threads(),
-        "the reactor must serve with at least 10x fewer threads"
-    );
 
     let world = BenchWorld::new(0xac9);
     // Idle sessions are the scenario, not a fault: generous deadlines.
@@ -685,16 +636,12 @@ fn bench_reactor(c: &mut Criterion) {
     group.throughput(Throughput::Elements((CONNECTIONS * PINGS) as u64));
     group.measurement_time(std::time::Duration::from_millis(150));
     let round = std::sync::atomic::AtomicU64::new(0);
-    for (name, path) in
-        [("fan-in-1k-pool-1000-threads", &pool), ("fan-in-1k-reactor-4-threads", &reactor)]
-    {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let seed = 0xe000 + round.fetch_add(1, Ordering::Relaxed);
-                fan_in_burst(&world, "cas:abl-fan", CONNECTIONS, PINGS, path, seed);
-            });
+    group.bench_function("fan-in-1k-reactor-4-threads", |b| {
+        b.iter(|| {
+            let seed = 0xe000 + round.fetch_add(1, Ordering::Relaxed);
+            fan_in_burst(&world, "cas:abl-fan", CONNECTIONS, PINGS, 2, 2, seed);
         });
-    }
+    });
     group.finish();
 }
 
@@ -811,7 +758,7 @@ fn bench_replication(c: &mut Criterion) {
     group.bench_function("reads-single-node", |b| {
         b.iter(|| {
             let seed = 0xf100 + round.fetch_add(1, Ordering::Relaxed);
-            let serve = world.cas.serve(&world.network, "cas:abl-r1", SESSIONS, seed);
+            let serve = world.cas.serve_reactor(&world.network, "cas:abl-r1", SESSIONS, seed);
             read_burst(&world, &["cas:abl-r1"], seed);
             serve.join().expect("serve");
         });
@@ -821,9 +768,9 @@ fn bench_replication(c: &mut Criterion) {
             let seed = 0xf200 + round.fetch_add(1, Ordering::Relaxed);
             // 48 sessions round-robin over 3 addresses: 16 each.
             let serves = [
-                world.cas.serve(&world.network, "cas:abl-r3a", SESSIONS / 3, seed),
-                followers[0].serve(&world.network, "cas:abl-r3b", SESSIONS / 3, seed + 1),
-                followers[1].serve(&world.network, "cas:abl-r3c", SESSIONS / 3, seed + 2),
+                world.cas.serve_reactor(&world.network, "cas:abl-r3a", SESSIONS / 3, seed),
+                followers[0].serve_reactor(&world.network, "cas:abl-r3b", SESSIONS / 3, seed + 1),
+                followers[1].serve_reactor(&world.network, "cas:abl-r3c", SESSIONS / 3, seed + 2),
             ];
             read_burst(&world, &["cas:abl-r3a", "cas:abl-r3b", "cas:abl-r3c"], seed);
             for serve in serves {
@@ -836,7 +783,7 @@ fn bench_replication(c: &mut Criterion) {
 
 fn bench_status(c: &mut Criterion) {
     use sinclave::protocol::Message;
-    use sinclave_bench::{fan_in_burst, BenchWorld, ServePath};
+    use sinclave_bench::{fan_in_burst, BenchWorld};
     use sinclave_cas::{serve_status, MiddlewareConfig};
     use sinclave_net::SecureChannel;
     use sinclave_runtime::ProgramImage;
@@ -852,7 +799,7 @@ fn bench_status(c: &mut Criterion) {
         let world = BenchWorld::new(0xaca);
         let packaged = world.package(&ProgramImage::interpreter("python-3.8", 8));
         let status = serve_status(&world.cas, &world.network, "cas:abl-status", 8);
-        let server = world.cas.serve(&world.network, "cas:abl-stat-srv", 1, 0xd5);
+        let server = world.cas.serve_reactor(&world.network, "cas:abl-stat-srv", 1, 0xd5);
         let conn = world.network.connect("cas:abl-stat-srv").expect("connect");
         let mut rng = StdRng::seed_from_u64(0xd6);
         let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
@@ -903,7 +850,6 @@ fn bench_status(c: &mut Criterion) {
     // deltas would be flaky on shared CI hardware).
     const CONNECTIONS: usize = 256;
     const PINGS: usize = 4;
-    let path = ServePath::Reactor { loops: 2, compute: 2 };
     let world = BenchWorld::new(0xacb);
     world.cas.set_middleware(MiddlewareConfig {
         handshake_timeout: Some(Duration::from_secs(600)),
@@ -917,7 +863,7 @@ fn bench_status(c: &mut Criterion) {
     group.bench_function("fan-in-status-dark", |b| {
         b.iter(|| {
             let seed = 0xe400 + round.fetch_add(1, Ordering::Relaxed);
-            fan_in_burst(&world, "cas:abl-sd", CONNECTIONS, PINGS, &path, seed);
+            fan_in_burst(&world, "cas:abl-sd", CONNECTIONS, PINGS, 2, 2, seed);
         });
     });
     group.bench_function("fan-in-status-lit", |b| {
@@ -938,7 +884,7 @@ fn bench_status(c: &mut Criterion) {
                     }
                 })
             };
-            fan_in_burst(&world, "cas:abl-sl-fan", CONNECTIONS, PINGS, &path, seed);
+            fan_in_burst(&world, "cas:abl-sl-fan", CONNECTIONS, PINGS, 2, 2, seed);
             stop.store(true, Ordering::Relaxed);
             prober.join().expect("prober");
             status.join().expect("status listener retires");
@@ -949,7 +895,7 @@ fn bench_status(c: &mut Criterion) {
 
 fn bench_trace(c: &mut Criterion) {
     use sinclave::protocol::Message;
-    use sinclave_bench::{fan_in_burst, BenchWorld, ServePath};
+    use sinclave_bench::{fan_in_burst, BenchWorld};
     use sinclave_cas::trace::RecorderStats;
     use sinclave_cas::MiddlewareConfig;
     use sinclave_net::SecureChannel;
@@ -1012,7 +958,6 @@ fn bench_trace(c: &mut Criterion) {
     // hardware).
     const CONNECTIONS: usize = 256;
     const PINGS: usize = 4;
-    let path = ServePath::Reactor { loops: 2, compute: 2 };
     let world = BenchWorld::new(0xacd);
     // Idle sessions are the scenario, not a fault: generous deadlines.
     world.cas.set_middleware(MiddlewareConfig {
@@ -1028,7 +973,7 @@ fn bench_trace(c: &mut Criterion) {
         world.cas.tracer().set_enabled(false);
         b.iter(|| {
             let seed = 0xe600 + round.fetch_add(1, Ordering::Relaxed);
-            fan_in_burst(&world, "cas:abl-td", CONNECTIONS, PINGS, &path, seed);
+            fan_in_burst(&world, "cas:abl-td", CONNECTIONS, PINGS, 2, 2, seed);
         });
     });
     group.bench_function("fan-in-trace-lit", |b| {
@@ -1036,7 +981,7 @@ fn bench_trace(c: &mut Criterion) {
         world.cas.tracer().set_sample_every(1);
         b.iter(|| {
             let seed = 0xe700 + round.fetch_add(1, Ordering::Relaxed);
-            fan_in_burst(&world, "cas:abl-tl", CONNECTIONS, PINGS, &path, seed);
+            fan_in_burst(&world, "cas:abl-tl", CONNECTIONS, PINGS, 2, 2, seed);
         });
     });
     world.cas.tracer().set_enabled(false);

@@ -4,13 +4,12 @@
 //! (0.4 ms), expected-measurement calculation (32 µs), on-demand
 //! SigStruct signing (4.93 ms), plus CAS miscellaneous work — and,
 //! beyond the paper, two sweeps: `fig7c/throughput` (aggregate grant
-//! throughput as concurrent attesters pile onto one CAS, pooled
-//! worker serving versus the paper's strictly sequential instance)
-//! and `fig7c/fan-in` (one CAS holding thousands of mostly-idle
-//! concurrent sessions: the readiness-driven reactor's handful of
-//! threads against a pool sized thread-per-connection, swept up to
-//! 10 000 connections where thread-per-connection stops being a
-//! reasonable baseline at all).
+//! throughput as concurrent attesters pile onto one CAS, the reactor
+//! at its default loop and compute-worker counts versus the paper's
+//! strictly sequential instance — one loop, one worker) and
+//! `fig7c/fan-in` (one CAS holding thousands of mostly-idle concurrent
+//! sessions on the reactor's four threads, swept up to 10 000
+//! connections).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -18,6 +17,7 @@ use rand::SeedableRng;
 use sinclave::protocol::Message;
 use sinclave_bench::BenchWorld;
 use sinclave_cas::policy::PolicyMode;
+use sinclave_cas::CasServer;
 use sinclave_net::SecureChannel;
 use sinclave_runtime::scone::PackagedApp;
 use sinclave_runtime::ProgramImage;
@@ -37,7 +37,7 @@ fn bench_retrieval(c: &mut Criterion) {
     // request ("O/C" in the paper).
     group.bench_function("connect-open-close", |b| {
         let cas = world.cas.clone();
-        let _server = cas.serve(&world.network, "cas:7c-ping", 1_000_000, 1);
+        let _server = cas.serve_reactor(&world.network, "cas:7c-ping", 1_000_000, 1);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -90,7 +90,7 @@ fn bench_retrieval(c: &mut Criterion) {
     // Total: the complete network round trip (what Fig. 7c sums to).
     group.bench_function("total-round-trip", |b| {
         let cas = world.cas.clone();
-        let _server = cas.serve(&world.network, "cas:7c-grant", 1_000_000, 3);
+        let _server = cas.serve_reactor(&world.network, "cas:7c-grant", 1_000_000, 3);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -120,19 +120,19 @@ fn bench_retrieval(c: &mut Criterion) {
 const THROUGHPUT_GRANTS: usize = 32;
 
 /// Runs `THROUGHPUT_GRANTS` full grant round trips against a CAS
-/// served by `workers` pool workers, with the load spread over
-/// `clients` concurrent client threads.
+/// reactor with `loops` event loops and `compute` compute workers,
+/// with the load spread over `clients` concurrent client threads.
 fn grant_burst(
     world: &BenchWorld,
     packaged: &PackagedApp,
     addr: &str,
     clients: usize,
-    workers: usize,
+    (loops, compute): (usize, usize),
     seed: u64,
 ) {
     assert_eq!(THROUGHPUT_GRANTS % clients, 0, "client count must divide the grant budget");
     let server =
-        world.cas.serve_with_workers(&world.network, addr, THROUGHPUT_GRANTS, seed, workers);
+        world.cas.serve_reactor_with(&world.network, addr, THROUGHPUT_GRANTS, seed, loops, compute);
     let per_client = THROUGHPUT_GRANTS / clients;
     std::thread::scope(|scope| {
         for client in 0..clients {
@@ -156,7 +156,7 @@ fn grant_burst(
             });
         }
     });
-    server.join().expect("server pool");
+    server.join().expect("server");
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -169,29 +169,26 @@ fn bench_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(THROUGHPUT_GRANTS as u64));
     let round = AtomicU64::new(0);
 
-    // The paper's single CAS instance: a strictly sequential accept
-    // loop (one worker), even with 8 attesters requesting at once.
+    // The paper's single CAS instance: strictly sequential serving
+    // (one event loop, one compute worker), even with 8 attesters
+    // requesting at once.
     group.bench_function("sequential-8-clients", |b| {
         b.iter(|| {
             let seed = round.fetch_add(1, Ordering::Relaxed);
-            grant_burst(&world, &packaged, "cas:7c-tp-seq", 8, 1, seed);
+            grant_burst(&world, &packaged, "cas:7c-tp-seq", 8, (1, 1), seed);
         });
     });
 
-    // Pooled serving under rising fan-in; throughput should scale with
-    // client count until the worker pool saturates the cores.
+    // The reactor at its defaults under rising fan-in; throughput
+    // should scale with client count until the compute pool saturates
+    // the cores.
+    let defaults = (CasServer::default_event_loops(), CasServer::default_workers());
     for clients in [1usize, 2, 4, 8, 16] {
-        group.bench_function(format!("pooled-{clients}-clients"), |b| {
+        group.bench_function(format!("reactor-{clients}-clients"), |b| {
             b.iter(|| {
                 let seed = 0x1_0000 + round.fetch_add(1, Ordering::Relaxed);
-                grant_burst(
-                    &world,
-                    &packaged,
-                    &format!("cas:7c-tp-{clients}"),
-                    clients,
-                    sinclave_cas::CasServer::default_workers(),
-                    seed,
-                );
+                let addr = format!("cas:7c-tp-{clients}");
+                grant_burst(&world, &packaged, &addr, clients, defaults, seed);
             });
         });
     }
@@ -199,7 +196,7 @@ fn bench_throughput(c: &mut Criterion) {
 }
 
 fn bench_fan_in(c: &mut Criterion) {
-    use sinclave_bench::{fan_in_burst, ServePath};
+    use sinclave_bench::fan_in_burst;
     use sinclave_cas::MiddlewareConfig;
     use std::time::Duration;
 
@@ -215,21 +212,14 @@ fn bench_fan_in(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7c/fan-in");
     group.measurement_time(Duration::from_millis(150));
     let round = AtomicU64::new(0);
-    // (name, connections, path): the pool is sized
-    // thread-per-connection — at 10k that stops being a baseline a
-    // deployment would run (10 000 serving threads), so only the
-    // reactor is swept there.
-    let reactor = |loops, compute| ServePath::Reactor { loops, compute };
-    let cases: [(&str, usize, ServePath); 3] = [
-        ("pool-1k-1000-threads", 1_000, ServePath::Pool { workers: 1_000 }),
-        ("reactor-1k-4-threads", 1_000, reactor(2, 2)),
-        ("reactor-10k-4-threads", 10_000, reactor(2, 2)),
-    ];
-    for (name, connections, path) in &cases {
-        group.bench_function(*name, |b| {
+    // (name, connections): two event loops and two compute workers
+    // serve every connection.
+    for (name, connections) in [("reactor-1k-4-threads", 1_000), ("reactor-10k-4-threads", 10_000)]
+    {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let seed = 0xfa_0000 + round.fetch_add(1, Ordering::Relaxed);
-                fan_in_burst(&world, "cas:7c-fan", *connections, 1, path, seed);
+                fan_in_burst(&world, "cas:7c-fan", connections, 1, 2, 2, seed);
             });
         });
     }

@@ -55,7 +55,7 @@ fn bench_execution(c: &mut Criterion) {
                 sinclave::AppConfig { entry: "embedded".into(), ..Default::default() },
             );
             let cas = world.cas.clone();
-            let _server = cas.serve(&world.network, "cas:fig8", 1_000_000, heap);
+            let _server = cas.serve_reactor(&world.network, "cas:fig8", 1_000_000, heap);
             group.bench_with_input(
                 BenchmarkId::new(format!("hw+attest/{system}"), heap),
                 &packaged,

@@ -46,7 +46,7 @@ fn bench_macro(c: &mut Criterion) {
         for (system, sinclave_mode) in [("baseline", false), ("sinclave", true)] {
             let world = BenchWorld::new(0x90 ^ sinclave_mode as u64);
             let cas = world.cas.clone();
-            let _server = cas.serve(&world.network, "cas:fig9", 1_000_000, 9);
+            let _server = cas.serve_reactor(&world.network, "cas:fig9", 1_000_000, 9);
             let sample = make();
             let image = if sinclave_mode {
                 sample.image.clone().sinclave_aware()

@@ -139,7 +139,7 @@ fn fig7c(world: &BenchWorld) {
     world.add_policy("fig7c", &packaged, PolicyMode::Singleton, Default::default());
 
     let cas = world.cas.clone();
-    let _ping_server = cas.serve(&world.network, "cas:x7c", 1_000_000, 77);
+    let _ping_server = cas.serve_reactor(&world.network, "cas:x7c", 1_000_000, 77);
     let mut session = 0u64;
     let open_close = time(64, || {
         session += 1;
@@ -219,7 +219,7 @@ fn fig8() {
                 sinclave::AppConfig { entry: "embedded".into(), ..Default::default() },
             );
             let cas = world.cas.clone();
-            let _server = cas.serve(&world.network, "cas:x8", 1_000_000, heap_mib);
+            let _server = cas.serve_reactor(&world.network, "cas:x8", 1_000_000, heap_mib);
             let mut i = 0u64;
             let attested = time(iters, || {
                 i += 1;
@@ -271,7 +271,7 @@ fn fig9() {
             let packaged = world.package(&image);
             world.add_policy("fig9", &packaged, PolicyMode::Either, sample.config.clone());
             let cas = world.cas.clone();
-            let _server = cas.serve(&world.network, "cas:x9", 1_000_000, 99);
+            let _server = cas.serve_reactor(&world.network, "cas:x9", 1_000_000, 99);
             let mut i = 0u64;
             let elapsed = time(3, || {
                 i += 1;

@@ -115,38 +115,6 @@ impl BenchWorld {
     }
 }
 
-/// Which serving path [`fan_in_burst`] drives, with its thread budget.
-pub enum ServePath {
-    /// Thread-per-connection pool. For a mostly-idle fan-in the pool
-    /// *must* be sized `workers == connections`: an undersized pool
-    /// deadlocks the burst, because every session stays open until the
-    /// end and a pool worker is pinned to its connection for that
-    /// connection's whole life.
-    Pool {
-        /// Worker-thread count.
-        workers: usize,
-    },
-    /// The readiness-driven reactor: `loops + compute` threads serve
-    /// every connection.
-    Reactor {
-        /// Event-loop thread count.
-        loops: usize,
-        /// Compute-pool thread count.
-        compute: usize,
-    },
-}
-
-impl ServePath {
-    /// Serving threads this path spends.
-    #[must_use]
-    pub fn serving_threads(&self) -> usize {
-        match self {
-            ServePath::Pool { workers } => *workers,
-            ServePath::Reactor { loops, compute } => loops + compute,
-        }
-    }
-}
-
 /// Client threads [`fan_in_burst`] multiplexes its connections over —
 /// deliberately few, so huge fan-ins don't cost one OS thread per
 /// client and the interesting thread budget is the *server's*.
@@ -157,28 +125,24 @@ pub const FAN_IN_CLIENT_THREADS: usize = 8;
 /// awaited) interleaved across its thread's whole batch, and every
 /// session stays open until the batch finishes — so at any moment most
 /// connections are idle, the high-fan-in regime the reactor exists
-/// for. Callers should install generous middleware timeouts first
-/// (idle sessions are the point, reaping them isn't).
+/// for. The CAS serves them from a reactor with `loops` event loops
+/// and `compute` compute workers. Callers should install generous
+/// middleware timeouts first (idle sessions are the point, reaping
+/// them isn't).
 pub fn fan_in_burst(
     world: &BenchWorld,
     addr: &str,
     connections: usize,
     pings: usize,
-    path: &ServePath,
+    loops: usize,
+    compute: usize,
     seed: u64,
 ) {
     use sinclave::protocol::Message;
     use sinclave_net::SecureChannel;
 
-    let server = match *path {
-        ServePath::Pool { workers } => {
-            assert!(workers >= connections, "undersized pool deadlocks a mostly-idle burst");
-            world.cas.serve_with_workers(&world.network, addr, connections, seed, workers)
-        }
-        ServePath::Reactor { loops, compute } => {
-            world.cas.serve_reactor_with(&world.network, addr, connections, seed, loops, compute)
-        }
-    };
+    let server =
+        world.cas.serve_reactor_with(&world.network, addr, connections, seed, loops, compute);
     let threads = FAN_IN_CLIENT_THREADS.min(connections.max(1));
     std::thread::scope(|scope| {
         for t in 0..threads {

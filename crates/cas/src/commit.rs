@@ -2,10 +2,10 @@
 //!
 //! Every acked redemption (and grant) must be durable in the journal
 //! *before* its reply leaves the server. Paying one sealed volume
-//! append per event would serialize the sharded worker pool behind
-//! the volume lock; the classic fix — QASM-style batched state-delta
-//! commits, as in group-committing databases — is to let one thread
-//! flush while everyone else queues:
+//! append per event would serialize the reactor's compute workers
+//! behind the volume lock; the classic fix — QASM-style batched
+//! state-delta commits, as in group-committing databases — is to let
+//! one thread flush while everyone else queues:
 //!
 //! 1. a committer takes the pipe lock, claims the next sequence
 //!    number, and queues its record;

@@ -1,11 +1,10 @@
 //! Fixed-bucket atomic latency histograms for the operability plane.
 //!
 //! The status wire (see [`crate::status`]) reports per-stage latency
-//! for the CAS serving paths. The recorder must sit on the hot path —
-//! inside `handle_connection`'s writer thread and the reactor's
-//! compute workers — so it is built from plain atomics: recording a
-//! sample is three relaxed read-modify-writes and never takes a lock,
-//! allocates, or syscalls. Quantiles are computed on the (cold) read
+//! for the CAS serving path. The recorder must sit on the hot path —
+//! inside the reactor's compute workers — so it is built from plain
+//! atomics: recording a sample is three relaxed read-modify-writes and
+//! never takes a lock, allocates, or syscalls. Quantiles are computed on the (cold) read
 //! side from the bucket counts.
 //!
 //! Buckets are log₂-spaced over nanoseconds: bucket *i* covers
@@ -171,8 +170,9 @@ impl HistogramView {
     }
 }
 
-/// One histogram per instrumented serving stage, shared by the worker
-/// pool and the reactor so both paths report through the same place.
+/// One histogram per instrumented serving stage, shared by the
+/// reactor's compute workers so every request reports through the
+/// same place.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
     /// Quote/SigStruct verification inside the issuer (cache-aware:

@@ -18,8 +18,8 @@
 //!   (batched durability; what makes exactly-once crash-absolute
 //!   without a volume write per event).
 //! * [`middleware`] — the fixed-order admission-control stack (rate
-//!   limits, quotas, timeouts, panic isolation, circuit breaker) both
-//!   serving paths consult.
+//!   limits, quotas, timeouts, panic isolation, circuit breaker) every
+//!   served request passes.
 //! * [`reactor`] — the readiness-driven serving path: a few event
 //!   loops multiplex every connection, offloading crypto to a compute
 //!   pool.

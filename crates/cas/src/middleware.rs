@@ -1,14 +1,14 @@
-//! Admission-control middleware for the CAS serving paths.
+//! Admission-control middleware for the CAS serving path.
 //!
 //! Production verifier deployments front their request loop with a
 //! small, *fixed-order* stack of defensive layers (cf. the 17-layer
 //! middleware stack of production CAS deployments). This module is
-//! that stack for both CAS serving paths (the worker pool and the
-//! reactor), evaluated per request in a fixed order:
+//! that stack for the CAS reactor ([`crate::reactor`]), evaluated per
+//! request in a fixed order:
 //!
 //! 1. **Timeouts** — handshake and read idle deadlines (enforced at
-//!    the connection layer by the serving paths; configured here) so a
-//!    slow-loris peer cannot pin a worker or an event-loop slot.
+//!    the connection layer by the reactor's timer wheel; configured
+//!    here) so a slow-loris peer cannot hold a connection slot.
 //! 2. **Rate limiting** — a token bucket per client identity. Sits
 //!    first among the per-request layers because it is the cheapest
 //!    check and protects everything behind it from a single noisy
@@ -25,7 +25,7 @@
 //!    (a hit skips issuance entirely).
 //! 5. **Panic isolation** — dispatch runs under `catch_unwind` so a
 //!    panic poisons one connection, not the serving thread (enforced
-//!    by the serving paths; configured here).
+//!    by the reactor's compute workers; configured here).
 //! 6. **Circuit breaker** — wraps the volume/journal append boundary,
 //!    the one layer that talks to storage. Last, at the resource it
 //!    guards: when appends fail repeatedly the breaker opens and
@@ -39,8 +39,9 @@
 //! an overload refusal into a quota charge.
 //!
 //! The default [`MiddlewareConfig`] disables every layer: the chain
-//! admits everything and the serving paths behave bit-identically to
-//! the unprotected loop (the determinism contract the ablation gates).
+//! admits everything and serving behaves bit-identically to the
+//! unprotected loop (the determinism contract the golden-transcript
+//! test and the ablation gates pin).
 //! [`MiddlewareConfig::hardened`] is the everything-on preset.
 //!
 //! Alongside the per-request layers, the chain carries the fleet's
@@ -97,12 +98,13 @@ pub struct BreakerConfig {
 pub struct MiddlewareConfig {
     /// Inactivity deadline during the secure-channel handshake: the
     /// longest a connection may go without delivering a handshake
-    /// flight (`None` = the transport default). A slow loris that
+    /// flight (`None` = no deadline: a silent peer is held until it
+    /// hangs up or the server shuts down). A slow loris that
     /// drips flights buys at most one extra deadline per flight — the
     /// handshake has only two.
     pub handshake_timeout: Option<Duration>,
     /// Inactivity deadline for an established session to send its
-    /// next request (`None` = the transport default).
+    /// next request (`None` = no deadline, as above).
     pub idle_timeout: Option<Duration>,
     /// Per-identity token-bucket rate limiting (`None` = off).
     pub rate_limit: Option<RateLimitConfig>,
@@ -140,7 +142,7 @@ impl MiddlewareConfig {
     }
 }
 
-/// Why the chain refused a request. The serving paths encode the
+/// Why the chain refused a request. The reactor encodes the
 /// reason into a [`Message::Denied`] reply, so clients can tell an
 /// admission refusal (retryable) from a verification failure (not).
 ///

@@ -1,10 +1,8 @@
-//! The readiness-driven CAS serving path.
+//! The CAS serving path: a readiness-driven reactor.
 //!
-//! The worker pool in [`crate::server`] burns one thread per live
-//! connection: at production fan-in (thousands of mostly-idle
-//! attesters holding sessions open) the pool is the ceiling — every
-//! parked connection pins a stack, and the pool cap turns into a
-//! queue. This module serves the same protocol from a **reactor**:
+//! At production fan-in thousands of mostly-idle attesters hold
+//! sessions open, so a connection must not cost a thread. The reactor
+//! serves the protocol from:
 //!
 //! * a small, connection-count-independent number of **event loops**
 //!   each own a [`Poller`] and multiplex their share of all
@@ -17,24 +15,25 @@
 //!   group-commit waits — is offloaded to a **compute pool** whose
 //!   completion re-enqueues the connection via the loop's inbox;
 //! * **at most one request per connection is in flight** at a time:
-//!   dispatch order is receive order, the per-connection RNG and
-//!   record sequence advance exactly as on the pooled path, so a
-//!   client sees bit-identical bytes from either path (gated by the
-//!   `ablation/reactor` bench);
+//!   dispatch order is receive order and the per-connection RNG
+//!   advances in that order, so a client's bytes depend only on the
+//!   seed and its own requests (pinned by the golden-transcript test,
+//!   `tests/serving_golden.rs`);
 //! * the loop's **timer wheel** enforces the middleware chain's
 //!   handshake/idle deadlines (a slow-loris peer costs one table entry
 //!   until its deadline, never a thread), and loop 0 additionally
 //!   drives the time-based snapshot tick
 //!   ([`CasServer::set_snapshot_interval`]) so idle workloads still
-//!   bound the journal-replay window.
+//!   bound the journal-replay window. With both deadlines off (the
+//!   default chain) a silent peer is held until it hangs up or
+//!   [`CasServer::shutdown`] runs.
 //!
 //! Admission control runs *on the loop*, before a request is allowed
 //! to occupy a compute slot: rate-limit and quota refusals are sealed
 //! and sent inline from the idle session (a refused request costs the
 //! refuser a table lookup, not a compute slot). Panic isolation wraps
 //! dispatch on the compute workers; the circuit breaker is consulted
-//! pre-dispatch and fed at the commit boundary exactly as on the
-//! pooled path.
+//! pre-dispatch and fed at the commit boundary.
 
 use crate::middleware::{MiddlewareChain, MiddlewareConfig};
 use crate::server::{CasServer, Request, ServeGuard};
@@ -57,7 +56,7 @@ use std::time::{Duration, Instant};
 /// An established session: everything request handling needs, checked
 /// out *whole* to a compute worker while a request is in flight (the
 /// `Busy` phase) and returned on completion. Keeping the RNG inside
-/// preserves the pooled path's per-connection RNG consumption order.
+/// keeps its consumption in the connection's request order.
 struct Session {
     sender: ChannelSender,
     receiver: ChannelReceiver,
@@ -171,15 +170,15 @@ impl CasServer {
 
     /// [`CasServer::serve_reactor`] with explicit event-loop and
     /// compute-worker counts. `1` loop and `1` compute worker is the
-    /// fully serialized configuration that must serve bit-identically
-    /// to `serve_with_workers(.., 1)` (the determinism gate).
+    /// fully serialized configuration: the paper's sequential CAS
+    /// instance (the Fig. 7c baseline) and the configuration the
+    /// golden-transcript test pins byte for byte.
     ///
     /// Connection slot `i` (accept order) is seeded
-    /// `seed.wrapping_add(i)` — the same derivation as the pool — and
-    /// handled by loop `i % loops`. The returned handle joins once all
-    /// `connections` slots have been served (or accepting timed out
-    /// after [`RECV_TIMEOUT`] without a dial) and every accepted
-    /// connection has closed.
+    /// `seed.wrapping_add(i)` and handled by loop `i % loops`. The
+    /// returned handle joins once all `connections` slots have been
+    /// served (or accepting timed out after [`RECV_TIMEOUT`] without a
+    /// dial) and every accepted connection has closed.
     #[must_use]
     pub fn serve_reactor_with(
         self: &Arc<Self>,
@@ -357,8 +356,7 @@ fn run_job(
         }
         return None;
     }
-    // The same instrumentation points as the pooled path's writer
-    // thread: sealing cost, then the full received→written span.
+    // Sealing cost, then the full received→written span.
     server.latency().seal.record(sealing.elapsed());
     server.latency().request.record(received.elapsed());
     if let Some(mut active) = active {
@@ -709,11 +707,11 @@ fn step_conn(
                 Ok((message, inherited)) => {
                     if let Some(mut started) = server.tracer().begin(inherited) {
                         // How long the frame's readiness signal sat
-                        // before this loop serviced it: the reactor's
-                        // `queue` leg. Coarse (see `since_signal`) but
-                        // exactly the wait admission control cannot see.
+                        // before this loop serviced it: the `queue`
+                        // leg. Coarse (see `since_signal`) but exactly
+                        // the wait admission control cannot see.
                         if let Some(waited) = queued_for {
-                            started.record_elapsed("queue", waited, SpanOutcome::Ok);
+                            started.record_queue(waited);
                         }
                         trace::install(started);
                     }
@@ -776,9 +774,7 @@ mod tests {
     use crate::store::CasStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sinclave::layout::EnclaveLayout;
     use sinclave::protocol::Message;
-    use sinclave::signer::{sign_enclave, SignerConfig};
     use sinclave::AppConfig;
     use sinclave_crypto::aead::AeadKey;
     use sinclave_crypto::rsa::RsaPrivateKey;
@@ -817,47 +813,6 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// The determinism gate in unit form: a single-loop single-worker
-    /// reactor with middleware off must answer the same request
-    /// sequence with the same bytes as the 1-worker pool.
-    #[test]
-    fn reactor_single_loop_matches_pool_bytes() {
-        let run = |addr: &str, reactor: bool| {
-            let (cas, signer_key) = server(30);
-            let layout = EnclaveLayout::for_program(b"app", 2).unwrap();
-            let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
-            let network = Network::new();
-            let handle = if reactor {
-                cas.serve_reactor_with(&network, addr, 1, 123, 1, 1)
-            } else {
-                cas.serve_with_workers(&network, addr, 1, 123, 1)
-            };
-            let conn = network.connect(addr).unwrap();
-            let mut rng = StdRng::seed_from_u64(31);
-            let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
-            let mut replies = Vec::new();
-            for _ in 0..3 {
-                chan.send(
-                    &Message::GrantRequest {
-                        common_sigstruct: signed.common_sigstruct.to_bytes(),
-                        base_hash: signed.base_hash.encode().to_vec(),
-                    }
-                    .to_bytes(),
-                )
-                .unwrap();
-                replies.push(chan.recv().unwrap());
-            }
-            chan.send(&Message::ChallengeRequest.to_bytes()).unwrap();
-            replies.push(chan.recv().unwrap());
-            chan.send(&Message::Ping.to_bytes()).unwrap();
-            replies.push(chan.recv().unwrap());
-            drop(chan);
-            handle.join().unwrap();
-            replies
-        };
-        assert_eq!(run("cas:pool", false), run("cas:react", true));
-    }
-
     #[test]
     fn reactor_serves_many_concurrent_sessions_with_two_loops() {
         let (cas, _) = server(40);
@@ -886,8 +841,8 @@ mod tests {
 
     #[test]
     fn reactor_policy_attest_denied_reasons_match_pool() {
-        // An attestation without a challenge must produce the same
-        // refusal on both paths (dispatch is shared).
+        // An attestation without a challenge is refused by dispatch
+        // with the challenge reason, and counted once.
         let (cas, signer_key) = server(50);
         cas.add_policy(SessionPolicy {
             config_id: "svc".into(),

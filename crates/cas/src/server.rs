@@ -6,24 +6,10 @@
 //! key's fingerprint is CAS's cryptographic identity — the value
 //! SinClave bakes into instance pages.
 //!
-//! # Concurrency model: two serving paths
+//! # Concurrency model
 //!
-//! **The worker pool** ([`CasServer::serve`] /
-//! [`CasServer::serve_with_workers`]): one thread per connection slot,
-//! capped by [`CasServer::default_workers`]. The workers share one
-//! listener; each claims the next connection slot from an atomic
-//! counter, accepts, and drives that connection's handshake and
-//! message loop to completion — so a slow or stalled attester occupies
-//! one worker instead of stalling every connection behind it, and up
-//! to `workers` retrievals proceed in parallel. Within one connection
-//! the message loop is *pipelined*: the secure channel is split into
-//! halves and a writer thread seals and sends reply `N` while the
-//! dispatcher already decodes request `N + 1` (see
-//! [`CasServer::handle_connection`]); replies stay in request order
-//! and dispatch stays sequential, so determinism is unchanged.
-//!
-//! **The reactor** ([`CasServer::serve_reactor`], in
-//! [`crate::reactor`]): a small, connection-count-independent number
+//! The CAS serves from one **reactor** ([`CasServer::serve_reactor`],
+//! in [`crate::reactor`]): a small, connection-count-independent number
 //! of event-loop threads multiplex *all* connections through the
 //! bus's readiness API (`net::Poller`), driving handshakes and message
 //! framing as per-connection state machines and offloading CPU-heavy
@@ -32,10 +18,12 @@
 //! the connection. A thousand mostly-idle attesters cost a thousand
 //! parked connections, not a thousand threads. Per connection at most
 //! one request is in flight at a time — dispatch order is receive
-//! order — so the bytes a client observes are identical on both paths
-//! (the `ablation/reactor` bench gates this bit-for-bit).
+//! order — so one event loop with one compute worker
+//! ([`CasServer::serve_reactor_with`]`(.., 1, 1)`) is the strictly
+//! sequential instance of the paper's Fig. 7c baseline, and its bytes
+//! are pinned by the golden-transcript test (`tests/serving_golden.rs`).
 //!
-//! Both paths consult the same **admission-control middleware chain**
+//! Every request passes the **admission-control middleware chain**
 //! ([`crate::middleware`], [`CasServer::set_middleware`]), evaluated
 //! per request in fixed order: timeouts (slow-loris defense, at the
 //! connection layer), per-identity token-bucket rate limiting, then
@@ -46,8 +34,8 @@
 //! never consulted on the reply path — serving stays bit-identical to
 //! the unprotected loop.
 //!
-//! The state the workers touch is sharded so parallel requests do not
-//! contend on a single lock:
+//! The state the compute workers touch is sharded so parallel
+//! requests do not contend on a single lock:
 //!
 //! * the policy store caches decoded [`SessionPolicy`]s as
 //!   `Arc`s sharded by config id (see [`CasStore`]) — retrieval is a
@@ -111,13 +99,12 @@
 //!
 //! # RNG seed derivation
 //!
-//! Each connection slot `i` gets its own deterministic generator
-//! seeded with `seed.wrapping_add(i)` — the same derivation the
-//! sequential loop used, so single-worker runs are bit-identical to
-//! the old behavior and multi-worker runs remain seed-stable: the set
-//! of per-connection seeds depends only on (`seed`, `connections`),
-//! never on thread scheduling. (Which dialing peer lands on which slot
-//! follows arrival order, as it would on a real listening socket.)
+//! Each connection slot `i` (accept order) gets its own deterministic
+//! generator seeded with `seed.wrapping_add(i)`, so runs are
+//! seed-stable at any loop and worker count: the set of per-connection
+//! seeds depends only on (`seed`, `connections`), never on thread
+//! scheduling. (Which dialing peer lands on which slot follows arrival
+//! order, as it would on a real listening socket.)
 
 use crate::commit::CommitPipe;
 use crate::histogram::StageHistograms;
@@ -126,8 +113,7 @@ use crate::policy::{PolicyMode, SessionPolicy};
 use crate::replica::{ForwardLink, ReplicationHub};
 use crate::store::CasStore;
 use crate::trace::{self, SpanOutcome, Tracer};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use sinclave::journal_record::{decode_batch, encode_batch, JournalRecord};
 use sinclave::protocol::Message;
 use sinclave::snapshot::IssuerSnapshot;
@@ -136,7 +122,7 @@ use sinclave::{AttestationToken, BaseEnclaveHash, SinclaveError};
 use sinclave_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use sinclave_crypto::sha256::Digest;
 use sinclave_fs::journal::JournalDamage;
-use sinclave_net::{Connection, NetError, Network, Readiness, SecureChannel};
+use sinclave_net::{Connection, NetError, Readiness};
 use sinclave_sgx::measurement::Measurement;
 use sinclave_sgx::quote::Quote;
 use sinclave_sgx::report::ReportBody;
@@ -145,7 +131,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::sync::Weak;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Defines [`CasStats`] (the live atomics) and [`StatsSnapshot`] (its
@@ -261,9 +246,7 @@ cas_counters! {
     /// Connections dropped by a configured handshake or read deadline
     /// (the slow-loris defense; see
     /// [`MiddlewareConfig::handshake_timeout`] /
-    /// [`MiddlewareConfig::idle_timeout`]). Only deadlines the
-    /// middleware configured count here — the transport's own default
-    /// timeout firing is a clean close, as before.
+    /// [`MiddlewareConfig::idle_timeout`]).
     connections_timed_out,
     /// Requests refused by the per-identity token-bucket rate limiter.
     requests_rate_limited,
@@ -306,13 +289,6 @@ cas_counters! {
     /// as degraded in between).
     replication_reconnects,
 }
-
-/// Replies the pipelined per-connection loop may buffer ahead of the
-/// writer thread. Clients of this protocol run request–response
-/// lockstep, so a small bound suffices; it exists so a stalled
-/// transport applies backpressure to dispatching instead of queueing
-/// unbounded sealed replies.
-const PIPELINE_DEPTH: usize = 4;
 
 /// How the sealed redemption journal is driven (see the module docs'
 /// durability section; `ablation/journal` measures all three).
@@ -389,7 +365,7 @@ pub struct CasServer {
     /// by a successful restore or persist) — a clean epoch only
     /// justifies skipping the write when there is something on disk.
     snapshot_on_disk: AtomicBool,
-    /// The admission-control stack both serving paths consult
+    /// The admission-control stack every served request passes
     /// (default: every layer off). Swapped whole by
     /// [`CasServer::set_middleware`].
     middleware: parking_lot::RwLock<Arc<MiddlewareChain>>,
@@ -428,8 +404,8 @@ pub struct CasServer {
     replication: parking_lot::RwLock<Option<Arc<ReplicationHub>>>,
     /// Counters.
     pub stats: CasStats,
-    /// Per-stage latency histograms, shared by both serving paths and
-    /// (via the issuer's stage observer) the verify/sign stages. In an
+    /// Per-stage latency histograms, fed by the reactor and (via the
+    /// issuer's stage observer) the verify/sign stages. In an
     /// `Arc` so the observer closure can hold it without borrowing the
     /// server.
     latency: Arc<StageHistograms>,
@@ -465,8 +441,7 @@ pub struct CasServer {
     /// Stop flags of follower pumps attached to this server, raised at
     /// shutdown so followers unsubscribe cleanly.
     drain_stops: parking_lot::Mutex<Vec<Weak<AtomicBool>>>,
-    /// Live serving threads (worker pool, reactor, replication
-    /// listener). [`CasServer::shutdown`] waits for this to reach
+    /// Live serving threads (reactor, replication listener). [`CasServer::shutdown`] waits for this to reach
     /// zero before persisting.
     active_serves: AtomicU64,
     /// The `journal_append_failed` count the last health probe saw —
@@ -798,10 +773,10 @@ impl CasServer {
     /// redeemed tokens (`0` disables the cadence). Both halves matter:
     /// the grant cadence bounds how much cache warmth a crash loses,
     /// the redemption cadence bounds the token-reuse window a crash
-    /// reopens (see the module docs). The write happens on the serving
-    /// connection's thread after the reply is dispatched to the
-    /// pipeline, under the store's volume lock — registration-rate,
-    /// not retrieval-rate, so it never contends with the hot path.
+    /// reopens (see the module docs). The write happens on the compute
+    /// worker dispatching the triggering request, under the store's
+    /// volume lock — registration-rate, not retrieval-rate, so it
+    /// never contends with the hot path.
     pub fn set_snapshot_cadence(&self, every_events: u64) {
         self.snapshot_cadence.store(every_events, Ordering::Relaxed);
     }
@@ -822,7 +797,7 @@ impl CasServer {
 
     // ---- Operability: health, latency, graceful shutdown -----------------
 
-    /// The per-stage latency histograms both serving paths feed (see
+    /// The per-stage latency histograms request serving feeds (see
     /// [`crate::histogram`]); rendered by the status wire's
     /// `histograms` view.
     #[must_use]
@@ -892,8 +867,8 @@ impl CasServer {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests on
-    /// every serving path (worker pool, reactor, replication
-    /// listener), stop follower pumps, then persist the durable state
+    /// every serving thread (reactor, replication listener), stop
+    /// follower pumps, then persist the durable state
     /// — so a clean stop restores from the snapshot with **zero**
     /// journal replay instead of leaning on recovery.
     ///
@@ -1456,8 +1431,8 @@ impl CasServer {
     /// Decodes `message` into a [`Request`] and runs the per-request
     /// admission layers in fixed order (rate limit → quota →
     /// breaker); returns the admitted request to dispatch, or the
-    /// refusal reply if any layer refuses. Shared verbatim by both
-    /// serving paths and by forwarded writes on a primary.
+    /// refusal reply if any layer refuses. Shared by the reactor and by
+    /// forwarded writes on a primary.
     pub(crate) fn admit(
         &self,
         chain: &MiddlewareChain,
@@ -1535,8 +1510,8 @@ impl CasServer {
     /// [`crate::commit`]); returns once it is durable. In
     /// [`JournalMode::Disabled`] this is a no-op. Every real append
     /// outcome feeds the middleware circuit breaker — this is the
-    /// storage boundary the breaker guards, shared by both serving
-    /// paths and by [`CasServer::persist_state`]'s checkpoint.
+    /// storage boundary the breaker guards, shared by request serving
+    /// and by [`CasServer::persist_state`]'s checkpoint.
     /// This is also the **fencing boundary**: a server whose fence is
     /// outranked (a failover promoted a replica past it) refuses every
     /// commit here, so a deposed primary that kept serving through a
@@ -1614,75 +1589,17 @@ impl CasServer {
         Ok(common)
     }
 
-    /// Default worker-pool width: one worker per core, capped at 8
-    /// (CAS is crypto-bound; more workers than cores only adds
-    /// scheduling noise).
+    /// Default compute-pool width for the reactor: one worker per
+    /// core, capped at 8 (CAS is crypto-bound; more workers than cores
+    /// only adds scheduling noise).
     #[must_use]
     pub fn default_workers() -> usize {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
     }
 
-    /// Serves `connections` connections on `addr` from a background
-    /// worker pool of [`CasServer::default_workers`] threads (see the
-    /// module docs for the concurrency model).
-    #[must_use]
-    pub fn serve(
-        self: &Arc<Self>,
-        network: &Network,
-        addr: &str,
-        connections: usize,
-        seed: u64,
-    ) -> JoinHandle<()> {
-        self.serve_with_workers(network, addr, connections, seed, Self::default_workers())
-    }
-
-    /// [`CasServer::serve`] with an explicit worker count; `1`
-    /// reproduces the strictly sequential accept loop of the paper's
-    /// single CAS instance (the Fig. 7c baseline).
-    ///
-    /// The returned handle joins once all `connections` slots have
-    /// been served (or their accepts timed out).
-    #[must_use]
-    pub fn serve_with_workers(
-        self: &Arc<Self>,
-        network: &Network,
-        addr: &str,
-        connections: usize,
-        seed: u64,
-        workers: usize,
-    ) -> JoinHandle<()> {
-        let listener = Arc::new(network.listen(addr));
-        let server = self.clone();
-        let guard = ServeGuard::register(self);
-        let workers = workers.clamp(1, connections.max(1));
-        std::thread::spawn(move || {
-            let _serving = guard;
-            let next_slot = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // Claim the next connection slot before
-                        // accepting so exactly `connections` accepts
-                        // happen across the pool, each with its own
-                        // deterministic per-slot generator.
-                        let slot = next_slot.fetch_add(1, Ordering::Relaxed);
-                        if slot >= connections as u64 {
-                            return;
-                        }
-                        let Some(conn) = server.accept_drainable(&listener) else { return };
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(slot));
-                        // A failed handshake or protocol error only
-                        // affects that one connection.
-                        let _ = server.handle_connection(conn, &mut rng);
-                    });
-                }
-            });
-        })
-    }
-
     /// Accepts one connection with drain awareness: the transport's
     /// default accept budget ([`sinclave_net::bus::RECV_TIMEOUT`]) is
-    /// spent in [`DRAIN_POLL`] slices so a worker parked in accept
+    /// spent in [`DRAIN_POLL`] slices so a thread parked in accept
     /// notices [`CasServer::shutdown`] within one slice instead of the
     /// full budget. `None` means stop serving — draining, or the
     /// budget timed out with no dialer.
@@ -1700,174 +1617,11 @@ impl CasServer {
         }
     }
 
-    /// Handles one connection: secure-channel handshake, then a
-    /// **pipelined** message loop until the peer disconnects.
-    ///
-    /// The channel is split into its halves: a writer thread owns the
-    /// sending half and drains a bounded in-order reply queue
-    /// (serializing and AEAD-sealing reply *N*) while this thread
-    /// already receives, decodes and dispatches request *N + 1*. Reply
-    /// order is the queue order, i.e. request order; and because all
-    /// dispatching — everything that touches `rng` or per-connection
-    /// state — stays on this one thread in receive order, the bytes a
-    /// client observes are bit-identical to the old strictly
-    /// sequential loop (the per-slot seed derivation of
-    /// [`CasServer::serve_with_workers`] holds unchanged at 1 worker).
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/handshake failures; protocol-level rejections
-    /// (middleware refusals included) are answered with
-    /// [`Message::Denied`] instead. A peer that simply goes away
-    /// (disconnect/timeout) ends the loop cleanly with `Ok(())`; a
-    /// record that fails authentication is counted in
-    /// [`CasStats::records_rejected`] and surfaces as
-    /// [`NetError::RecordCorrupt`] — a tampered transport must be
-    /// distinguishable from a polite hang-up. A *configured* handshake
-    /// or idle deadline firing is counted in
-    /// [`CasStats::connections_timed_out`]: with deadlines on, a
-    /// stalled client costs one bounded wait instead of pinning the
-    /// worker for the transport default.
-    pub fn handle_connection(
-        &self,
-        conn: Connection,
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Result<(), NetError> {
-        let chain = self.middleware();
-        conn.set_recv_timeout(chain.config().handshake_timeout);
-        let chan = match SecureChannel::server_accept(conn, &self.channel_key, rng) {
-            Ok(chan) => chan,
-            Err(e) => {
-                if e == NetError::Timeout && chain.config().handshake_timeout.is_some() {
-                    self.stats.connections_timed_out.fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
-        };
-        chan.set_recv_timeout(chain.config().idle_timeout);
-        let transcript = chan.transcript();
-        let (mut sender, mut receiver) = chan.split();
-        let mut outstanding_nonce: Option<[u8; 16]> = None;
-        std::thread::scope(|scope| {
-            // Replies travel with the Instant their raw request frame
-            // arrived — so the writer thread can price the full
-            // received→written span (the `request` histogram) after it
-            // times its own sealing work — and with the request's
-            // active trace (if lit), which the writer completes after
-            // the reply bytes are on the wire.
-            let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel::<(
-                Message,
-                Instant,
-                Option<Box<trace::ActiveTrace>>,
-            )>(PIPELINE_DEPTH);
-            let latency = Arc::clone(&self.latency);
-            let tracer = &self.tracer;
-            let writer = scope.spawn(move || -> Result<(), NetError> {
-                for (reply, received_at, active) in reply_rx {
-                    let sealing = Instant::now();
-                    // Only a request that itself carried a trace
-                    // context gets it echoed on the reply — a plain
-                    // client's bytes are untouched even with tracing
-                    // lit, and with it dark `active` is always `None`.
-                    let echo = active.as_ref().filter(|t| t.inherited()).map(|t| t.context());
-                    sender.send(&reply.to_bytes_traced(echo.as_ref()))?;
-                    latency.seal.record(sealing.elapsed());
-                    latency.request.record(received_at.elapsed());
-                    if let Some(mut active) = active {
-                        active.record_elapsed("seal", sealing.elapsed(), SpanOutcome::Ok);
-                        tracer.finish(active);
-                    }
-                }
-                Ok(())
-            });
-            let received = loop {
-                let raw = match receiver.recv() {
-                    Ok(raw) => raw,
-                    Err(NetError::Timeout) => {
-                        // A configured read deadline firing is the
-                        // slow-loris defense doing its job; the
-                        // transport default firing is a clean close.
-                        if chain.config().idle_timeout.is_some() {
-                            self.stats.connections_timed_out.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break Ok(());
-                    }
-                    // Transport close: the peer is done with us.
-                    Err(NetError::Disconnected) => break Ok(()),
-                    Err(e) => {
-                        if e == NetError::RecordCorrupt {
-                            self.stats.records_rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break Err(e);
-                    }
-                };
-                let received_at = Instant::now();
-                let (reply, active) = match Message::from_bytes_traced(&raw) {
-                    Ok((message, inherited)) => {
-                        // The trace begins at admission and rides the
-                        // thread-local while this thread dispatches,
-                        // so deep call sites (issuer observer, commit
-                        // flush, admission decisions) record spans
-                        // without signature churn.
-                        if let Some(started) = self.tracer.begin(inherited) {
-                            trace::install(started);
-                        }
-                        match self.admit(&chain, message) {
-                            Err(refused) => (refused, trace::take()),
-                            Ok(request) => match self.dispatch_deduped(
-                                &chain,
-                                request,
-                                &mut outstanding_nonce,
-                                &transcript,
-                                rng,
-                            ) {
-                                Some(reply) => (reply, trace::take()),
-                                // Contained panic: close this
-                                // connection, keep the worker — and
-                                // pin the trace as errored so the
-                                // flight recorder keeps the evidence.
-                                None => {
-                                    if let Some(mut orphan) = trace::take() {
-                                        orphan.mark_errored();
-                                        self.tracer.finish(orphan);
-                                    }
-                                    break Ok(());
-                                }
-                            },
-                        }
-                    }
-                    Err(_) => (Message::Denied { reason: "malformed message".into() }, None),
-                };
-                if matches!(reply, Message::Denied { .. }) {
-                    self.stats.denials.fetch_add(1, Ordering::Relaxed);
-                }
-                // A closed queue means the writer already failed on a
-                // transport error; fall through and report that.
-                if reply_tx.send((reply, received_at, active)).is_err() {
-                    break Ok(());
-                }
-                // Drain point: the in-flight request was answered (the
-                // writer flushes everything queued before exiting), so
-                // a draining server closes here rather than take the
-                // next request.
-                if self.is_draining() {
-                    break Ok(());
-                }
-            };
-            drop(reply_tx);
-            // A panicked writer thread is reported as a transport
-            // failure on this connection, not an abort of the server.
-            let written = writer.join().unwrap_or(Err(NetError::Disconnected));
-            received.and(written)
-        })
-    }
-
     /// Dispatch wrapped in the request-dedup layer (between
     /// admission and panic isolation; see [`crate::middleware`]): a
     /// byte-identical retried grant replays the cached reply instead
-    /// of issuing a second token. Shared verbatim by both serving
-    /// paths. Returns `None` on a contained dispatch panic (the
-    /// caller closes the connection).
+    /// of issuing a second token. Returns `None` on a contained
+    /// dispatch panic (the caller closes the connection).
     pub(crate) fn dispatch_deduped(
         &self,
         chain: &MiddlewareChain,
@@ -1893,7 +1647,7 @@ impl CasServer {
                     // attributable instead of silently pulling the
                     // end-to-end p50 down.
                     self.latency.dedup_replay.record(replaying.elapsed());
-                    trace::record_elapsed("dedup_hit", replaying.elapsed(), SpanOutcome::Ok);
+                    trace::record_elapsed("dedup_replay", replaying.elapsed(), SpanOutcome::Ok);
                     return Some(reply);
                 }
             }
@@ -2162,10 +1916,13 @@ impl CasServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use sinclave::layout::EnclaveLayout;
     use sinclave::signer::{sign_enclave, SignerConfig};
     use sinclave::AppConfig;
     use sinclave_crypto::aead::AeadKey;
+    use sinclave_net::{Network, SecureChannel};
     use sinclave_sgx::measurement::Measurement;
 
     fn server(seed: u64) -> (Arc<CasServer>, RsaPrivateKey, RsaPublicKey) {
@@ -2187,7 +1944,7 @@ mod tests {
     fn ping_pong_over_channel() {
         let (cas, _, _) = server(1);
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 1, 10);
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 10);
         let conn = network.connect("cas:443").unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
@@ -2204,7 +1961,7 @@ mod tests {
         let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
 
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 1, 30);
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 30);
         let conn = network.connect("cas:443").unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
@@ -2248,7 +2005,7 @@ mod tests {
         let signed = sign_enclave(&layout, &foreign, &SignerConfig::default()).unwrap();
 
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 1, 60);
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 60);
         let conn = network.connect("cas:443").unwrap();
         let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
         chan.send(
@@ -2270,7 +2027,7 @@ mod tests {
     fn attest_without_challenge_denied() {
         let (cas, _, _) = server(7);
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 1, 70);
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 70);
         let conn = network.connect("cas:443").unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
@@ -2294,7 +2051,7 @@ mod tests {
 
         let (cas, _, _) = server(20);
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 2, 200);
+        let handle = cas.serve_reactor(&network, "cas:443", 2, 200);
 
         // Connection 1: handshake by hand (the hello types are public
         // exactly for adversarial tests like this), then inject a
@@ -2327,15 +2084,15 @@ mod tests {
     #[test]
     fn pipelined_loop_is_seed_stable_at_one_worker() {
         // Two servers built from the same seed, each serving one
-        // connection with one worker, must answer an identical request
-        // sequence with bit-identical reply bytes: the pipelined loop
-        // keeps all rng consumption in receive order.
+        // connection on one event loop with one compute worker, must
+        // answer an identical request sequence with bit-identical reply
+        // bytes: dispatch keeps all rng consumption in receive order.
         let run = |addr: &str| {
             let (cas, signer_key, _) = server(30);
             let layout = EnclaveLayout::for_program(b"app", 2).unwrap();
             let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
             let network = Network::new();
-            let handle = cas.serve_with_workers(&network, addr, 1, 123, 1);
+            let handle = cas.serve_reactor_with(&network, addr, 1, 123, 1, 1);
             let conn = network.connect(addr).unwrap();
             let mut rng = StdRng::seed_from_u64(31);
             let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
@@ -2447,7 +2204,7 @@ mod tests {
         let layout = EnclaveLayout::for_program(b"app", 2).unwrap();
         let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
         let network = Network::new();
-        let handle = cas.serve(&network, "cas:443", 1, 440);
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 440);
         let conn = network.connect("cas:443").unwrap();
         let mut rng = StdRng::seed_from_u64(45);
         let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();

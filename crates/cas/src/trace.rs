@@ -72,7 +72,6 @@ const KNOWN_STAGES: &[&str] = &[
     "journal_flush",
     "request",
     "dedup_replay",
-    "dedup_hit",
     "rate_limit",
     "quota",
     "breaker_shed",
@@ -238,6 +237,18 @@ impl ActiveTrace {
     pub fn record_elapsed(&mut self, stage: &'static str, elapsed: Duration, out: SpanOutcome) {
         let end = now_ns();
         self.record(stage, end.saturating_sub(elapsed.as_nanos() as u64), end, out);
+    }
+
+    /// Records the wait that preceded this trace as its `queue` span
+    /// — the request became ready `waited` before it was serviced —
+    /// and moves the trace's start back to that instant, so the queue
+    /// leg nests inside the end-to-end `request` span like every other
+    /// stage.
+    pub fn record_queue(&mut self, waited: Duration) {
+        let end = now_ns();
+        let start = end.saturating_sub(waited.as_nanos() as u64);
+        self.begin_ns = self.begin_ns.min(start);
+        self.record("queue", start, end, SpanOutcome::Ok);
     }
 
     fn record_at_hop(

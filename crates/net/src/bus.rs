@@ -34,7 +34,7 @@
 use crate::error::NetError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
@@ -251,7 +251,7 @@ struct NetworkInner {
     /// Adversary-installed address rewrites, applied at dial time.
     redirects: HashMap<String, String>,
     /// Count of observed dials per (requested) address.
-    dial_log: Vec<String>,
+    dial_log: BTreeMap<String, u64>,
 }
 
 /// A simulated network: a switchboard of named listeners.
@@ -286,7 +286,7 @@ impl Network {
             inner: Arc::new(Mutex::new(NetworkInner {
                 listeners: HashMap::new(),
                 redirects: HashMap::new(),
-                dial_log: Vec::new(),
+                dial_log: BTreeMap::new(),
             })),
         }
     }
@@ -313,7 +313,7 @@ impl Network {
     /// redirects) no listener is bound.
     pub fn connect(&self, address: &str) -> Result<Connection, NetError> {
         let mut inner = self.inner.lock();
-        inner.dial_log.push(address.to_owned());
+        *inner.dial_log.entry(address.to_owned()).or_insert(0) += 1;
         let effective = inner.redirects.get(address).cloned().unwrap_or_else(|| address.to_owned());
         let entry = inner
             .listeners
@@ -344,21 +344,23 @@ impl Network {
         self.inner.lock().redirects.remove(from);
     }
 
-    /// Adversary: observe which addresses have been dialed.
+    /// Adversary: observe which addresses have been dialed, and how
+    /// often (one entry per requested address, so the log stays
+    /// bounded by the address space, not the dial count).
     #[must_use]
-    pub fn adversary_dial_log(&self) -> Vec<String> {
+    pub fn adversary_dial_log(&self) -> BTreeMap<String, u64> {
         self.inner.lock().dial_log.clone()
     }
 }
 
 /// A bound listener.
 ///
-/// `Listener` is `Sync`: a server worker pool may share one listener
-/// (behind an `Arc`) and have every worker call [`Listener::accept`]
-/// concurrently — each queued connection is handed to exactly one
-/// accepter, like `accept(2)` on a shared listening socket. The CAS
-/// worker pool relies on this; the CAS reactor instead [`watch`]es the
-/// listener and drains it with [`Listener::try_accept`].
+/// `Listener` is `Sync`: several threads may share one listener
+/// (behind an `Arc`) and call [`Listener::accept`] concurrently — each
+/// queued connection is handed to exactly one accepter, like
+/// `accept(2)` on a shared listening socket. The CAS reactor instead
+/// [`watch`]es the listener and drains it with
+/// [`Listener::try_accept`] from one event loop.
 ///
 /// [`watch`]: Listener::watch
 #[derive(Debug)]
@@ -478,9 +480,9 @@ impl Connection {
     }
 
     /// Overrides the timeout [`Connection::recv`] blocks for (`None`
-    /// restores the [`RECV_TIMEOUT`] default). This is the pooled
-    /// serving path's stall bound: a handshake or read deadline small
-    /// enough that a slow-loris peer cannot pin a worker.
+    /// restores the [`RECV_TIMEOUT`] default): how a blocking reader —
+    /// a client awaiting a reply, a replication pump polling its
+    /// stream — bounds the time a silent peer can hold it.
     pub fn set_recv_timeout(&self, timeout: Option<Duration>) {
         let micros = timeout.map_or(0, |t| t.as_micros().try_into().unwrap_or(u64::MAX).max(1));
         self.recv_timeout_micros.store(micros, Ordering::Relaxed);
@@ -597,8 +599,10 @@ mod tests {
         let net = Network::new();
         let _l = net.listen("a");
         let _ = net.connect("a");
+        let _ = net.connect("a");
         let _ = net.connect("missing");
-        assert_eq!(net.adversary_dial_log(), vec!["a".to_owned(), "missing".to_owned()]);
+        let expected = BTreeMap::from([("a".to_owned(), 2), ("missing".to_owned(), 1)]);
+        assert_eq!(net.adversary_dial_log(), expected);
     }
 
     #[test]
@@ -611,9 +615,8 @@ mod tests {
 
     #[test]
     fn shared_listener_hands_each_connection_to_one_accepter() {
-        // The property the CAS worker pool depends on: workers sharing
-        // one listener each get a distinct connection, none is lost,
-        // and none is delivered twice.
+        // Threads sharing one listener each get a distinct connection,
+        // none is lost, and none is delivered twice.
         let net = Network::new();
         let listener = std::sync::Arc::new(net.listen("svc:pool"));
         let workers = 4;

@@ -88,7 +88,7 @@ fn main() {
         },
     })
     .unwrap();
-    let cas_thread = cas.serve(&network, "cas:443", 2, 5);
+    let cas_thread = cas.serve_reactor(&network, "cas:443", 2, 5);
 
     // Run.
     let app = host

@@ -52,7 +52,7 @@ fn run_workload(w: &Workload, singleton: bool, seed: u64) -> std::time::Duration
         config: w.config.clone(),
     })
     .unwrap();
-    let cas_thread = cas.serve(&network, "cas:443", 2, seed);
+    let cas_thread = cas.serve_reactor(&network, "cas:443", 2, seed);
 
     let opts = StartOptions::new("cas:443", "ml").with_volume(w.volume.clone()).with_seed(seed);
     let start = Instant::now();

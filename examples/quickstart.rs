@@ -72,7 +72,7 @@ fn main() {
         },
     })
     .expect("policy");
-    let cas_thread = cas.serve(&network, "cas:443", 4, 99);
+    let cas_thread = cas.serve_reactor(&network, "cas:443", 4, 99);
     println!("[cas] serving at cas:443 (identity {}…)", &cas.identity().to_hex()[..16]);
 
     // ---- Start a singleton -------------------------------------------

@@ -71,7 +71,7 @@ fn main() {
     println!("=== Phase 1: the reuse attack against a BASELINE deployment ===");
     let victim_image = ProgramImage::interpreter("python-3.8", 8);
     let d = deploy(1, victim_image, PolicyMode::Baseline);
-    let cas_thread = d.cas.serve(&d.network, "cas:443", 1, 10);
+    let cas_thread = d.cas.serve_reactor(&d.network, "cas:443", 1, 10);
     let env = AttackEnvironment {
         host: SconeHost::new(d.host.platform.clone(), d.host.qe.clone(), d.network.clone()),
         cas_addr: "cas:443".into(),
@@ -97,7 +97,7 @@ fn main() {
     println!("=== Phase 2: the same attack against a SINCLAVE deployment ===");
     let hardened_image = ProgramImage::interpreter("python-3.8", 8).sinclave_aware();
     let d = deploy(2, hardened_image, PolicyMode::Singleton);
-    let cas_thread = d.cas.serve(&d.network, "cas:443", 1, 20);
+    let cas_thread = d.cas.serve_reactor(&d.network, "cas:443", 1, 20);
     let env = AttackEnvironment {
         host: SconeHost::new(d.host.platform.clone(), d.host.qe.clone(), d.network.clone()),
         cas_addr: "cas:443".into(),

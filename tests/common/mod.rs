@@ -107,14 +107,9 @@ impl World {
         }
     }
 
-    /// Spawns the CAS serving `connections` connections.
+    /// Spawns the CAS serving `connections` connections with the
+    /// default event-loop and compute-worker counts.
     pub fn serve_cas(&self, connections: usize, seed: u64) -> std::thread::JoinHandle<()> {
-        self.cas.serve(&self.network, CAS_ADDR, connections, seed)
-    }
-
-    /// Spawns the CAS on the reactor path serving `connections`
-    /// connections with the default loop/worker counts.
-    pub fn serve_cas_reactor(&self, connections: usize, seed: u64) -> std::thread::JoinHandle<()> {
         self.cas.serve_reactor(&self.network, CAS_ADDR, connections, seed)
     }
 

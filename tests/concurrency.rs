@@ -1,6 +1,6 @@
 //! Concurrent-correctness tests for the sharded CAS serving path:
 //! exactly-once token redemption under races, parallel grant + attest
-//! flows over the worker pool, and cache/stat consistency when many
+//! flows over the reactor, and cache/stat consistency when many
 //! clients hit one CAS at once.
 
 mod common;
@@ -105,12 +105,12 @@ fn parallel_batch_issue_against_racing_redeems_stays_consistent() {
 }
 
 #[test]
-fn parallel_attest_flows_over_worker_pool_keep_stats_consistent() {
+fn parallel_attest_flows_over_the_reactor_keep_stats_consistent() {
     let image = ProgramImage::with_entry("svc", "print ok", 2).sinclave_aware();
     let world = World::new(40, image, common::user_config_with_secrets(), PolicyMode::Singleton);
     let runs = 4;
     // Each start_sinclave opens two connections (grant + attest); the
-    // pool serves them concurrently.
+    // reactor serves them concurrently.
     let cas = world.serve_cas(2 * runs, 4000);
     let measurements = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..runs)
@@ -131,7 +131,7 @@ fn parallel_attest_flows_over_worker_pool_keep_stats_consistent() {
             .collect();
         handles.into_iter().map(|h| h.join().expect("starter")).collect::<Vec<_>>()
     });
-    cas.join().expect("cas pool");
+    cas.join().expect("cas");
 
     // Every singleton is unique, every counter consistent.
     let mut sorted = measurements.clone();
@@ -155,10 +155,10 @@ fn pipelined_requests_on_one_connection_reply_in_order() {
     let cas = world.serve_cas(1, 5000);
 
     // Push a burst of requests before draining a single reply: the
-    // server's pipelined loop may overlap sealing reply N with
-    // dispatching request N+1, but the replies must come back strictly
-    // in request order — and the grant replies must carry distinct,
-    // each-verifiable on-demand SigStructs.
+    // reactor buffers the burst and dispatches one request at a time,
+    // so the replies must come back strictly in request order — and
+    // the grant replies must carry distinct, each-verifiable on-demand
+    // SigStructs.
     let conn = world.network.connect(CAS_ADDR).expect("connect");
     let mut rng = StdRng::seed_from_u64(51);
     let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");

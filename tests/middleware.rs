@@ -1,5 +1,5 @@
-//! Admission-control and reactor-path integration tests: high fan-in
-//! serving, slow-loris resilience on both serving paths, the wire
+//! Admission-control and reactor integration tests: high fan-in
+//! serving, slow-loris resilience on many loops and on one, the wire
 //! encoding of rate-limit/quota refusals, circuit-breaker shedding,
 //! panic isolation, and the time-based snapshot tick.
 
@@ -42,7 +42,7 @@ fn ping(world: &World, seed: u64, rounds: usize) {
 fn reactor_drives_a_thousand_concurrent_sessions() {
     let world = world(60);
     let clients = 1000;
-    let cas = world.serve_cas_reactor(clients, 6000);
+    let cas = world.serve_cas(clients, 6000);
     std::thread::scope(|scope| {
         for i in 0..clients {
             let world = &world;
@@ -65,7 +65,7 @@ fn slow_loris_on_reactor_is_reaped_and_healthy_clients_unaffected() {
         ..MiddlewareConfig::default()
     });
     let (stalled, holders, healthy) = (16, 8, 8);
-    let cas = world.serve_cas_reactor(stalled + holders + healthy, 6100);
+    let cas = world.serve_cas(stalled + holders + healthy, 6100);
     let loris = SlowLoris::launch(&world.network, CAS_ADDR, stalled, holders, 6200).expect("loris");
     assert_eq!(loris.stalled_count(), stalled);
     assert_eq!(loris.holder_count(), holders);
@@ -96,20 +96,21 @@ fn slow_loris_on_reactor_is_reaped_and_healthy_clients_unaffected() {
 }
 
 #[test]
-fn slow_loris_on_pool_times_out_instead_of_leaking_the_worker() {
+fn slow_loris_on_a_single_loop_times_out_instead_of_pinning_it() {
     let world = world(62);
     world.cas.set_middleware(MiddlewareConfig {
         handshake_timeout: Some(Duration::from_millis(50)),
         idle_timeout: Some(Duration::from_millis(100)),
         ..MiddlewareConfig::default()
     });
-    // One worker, two connections: the loris dials first and stalls
-    // mid-handshake. Without the timeout the single worker would block
-    // on it forever and the healthy client would never be served.
-    let cas = world.cas.serve_with_workers(&world.network, CAS_ADDR, 2, 6400, 1);
+    // One event loop, one compute worker, two connections: the loris
+    // dials first and stalls mid-handshake. Without the timeout its
+    // connection slot would be held until shutdown; with it the slot
+    // is reaped and the healthy client is served on the same loop.
+    let cas = world.cas.serve_reactor_with(&world.network, CAS_ADDR, 2, 6400, 1, 1);
     let loris = SlowLoris::launch(&world.network, CAS_ADDR, 1, 0, 6500).expect("loris");
     ping(&world, 6600, 2);
-    cas.join().expect("pool");
+    cas.join().expect("reactor");
     loris.release();
     let stats = world.cas.stats.snapshot();
     assert_eq!(stats.connections_timed_out, 1);
@@ -123,7 +124,7 @@ fn rate_limit_refusals_encode_over_the_wire() {
         rate_limit: Some(RateLimitConfig { burst: 2, per_second: 1 }),
         ..MiddlewareConfig::default()
     });
-    let cas = world.serve_cas_reactor(1, 6700);
+    let cas = world.serve_cas(1, 6700);
     let report = quota_abuse(&world.network, CAS_ADDR, CONFIG_ID, 6, 6800).expect("abuser");
     cas.join().expect("reactor");
     // The burst gets through to real dispatch; everything after is
@@ -135,12 +136,12 @@ fn rate_limit_refusals_encode_over_the_wire() {
 }
 
 #[test]
-fn quota_exhausts_an_identity_on_the_pooled_path() {
+fn quota_exhausts_an_identity() {
     let world = world(64);
     world.cas.set_middleware(MiddlewareConfig { quota: Some(3), ..MiddlewareConfig::default() });
     let cas = world.serve_cas(1, 6900);
     let report = quota_abuse(&world.network, CAS_ADDR, CONFIG_ID, 5, 7000).expect("abuser");
-    cas.join().expect("pool");
+    cas.join().expect("reactor");
     assert_eq!(report.served, 3);
     assert_eq!(report.quota_denied, 2);
     assert_eq!(report.rate_limited, 0);
@@ -157,7 +158,7 @@ fn open_breaker_sheds_journaling_requests_but_not_pings() {
     // One failed volume append trips the breaker open.
     world.cas.middleware().record_commit(false);
 
-    let cas = world.serve_cas_reactor(1, 7100);
+    let cas = world.serve_cas(1, 7100);
     let conn = world.network.connect(CAS_ADDR).expect("connect");
     let mut rng = StdRng::seed_from_u64(7200);
     let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
@@ -187,30 +188,27 @@ fn open_breaker_sheds_journaling_requests_but_not_pings() {
 }
 
 #[test]
-fn panic_isolation_contains_a_poisoned_dispatch_on_both_paths() {
-    for reactor in [true, false] {
-        let world = world(66);
-        world.cas.set_middleware(MiddlewareConfig {
-            isolate_panics: true,
-            ..MiddlewareConfig::default()
-        });
-        let cas = if reactor { world.serve_cas_reactor(2, 7300) } else { world.serve_cas(2, 7300) };
+fn panic_isolation_contains_a_poisoned_dispatch() {
+    let world = world(66);
+    world
+        .cas
+        .set_middleware(MiddlewareConfig { isolate_panics: true, ..MiddlewareConfig::default() });
+    let cas = world.serve_cas(2, 7300);
 
-        // First connection trips the poisoned dispatch: the connection
-        // dies, the serving thread survives.
-        world.cas.set_dispatch_panic_for_tests();
-        let conn = world.network.connect(CAS_ADDR).expect("connect");
-        let mut rng = StdRng::seed_from_u64(7400);
-        let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
-        chan.send(&Message::Ping.to_bytes()).expect("send");
-        assert!(chan.recv().is_err(), "poisoned dispatch must close the connection, not reply");
-        drop(chan);
+    // First connection trips the poisoned dispatch: the connection
+    // dies, the serving thread survives.
+    world.cas.set_dispatch_panic_for_tests();
+    let conn = world.network.connect(CAS_ADDR).expect("connect");
+    let mut rng = StdRng::seed_from_u64(7400);
+    let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
+    chan.send(&Message::Ping.to_bytes()).expect("send");
+    assert!(chan.recv().is_err(), "poisoned dispatch must close the connection, not reply");
+    drop(chan);
 
-        // Second connection is served normally by the same threads.
-        ping(&world, 7500, 2);
-        cas.join().expect("serve");
-        assert_eq!(world.cas.stats.snapshot().panics_isolated, 1, "reactor={reactor}");
-    }
+    // Second connection is served normally by the same threads.
+    ping(&world, 7500, 2);
+    cas.join().expect("serve");
+    assert_eq!(world.cas.stats.snapshot().panics_isolated, 1);
 }
 
 #[test]
@@ -218,7 +216,7 @@ fn time_based_snapshot_tick_persists_while_idle() {
     let world = world(67);
     world.cas.set_snapshot_interval(Some(Duration::from_millis(50)));
     assert_eq!(world.cas.snapshot_interval(), Some(Duration::from_millis(50)));
-    let cas = world.serve_cas_reactor(1, 7600);
+    let cas = world.serve_cas(1, 7600);
 
     let conn = world.network.connect(CAS_ADDR).expect("connect");
     let mut rng = StdRng::seed_from_u64(7700);

@@ -400,7 +400,7 @@ fn follower_serves_clients_and_linearizes_writes_through_primary() {
     let pump = follow(follower.clone(), w.network.clone(), REPL_ADDR.into(), 0x72, fast_backoff());
     wait_for("baseline", || follower.journal_sequence() == w.cas.journal_sequence());
 
-    let serving = follower.serve(&w.network, FOLLOWER_ADDR, 1, 0x73);
+    let serving = follower.serve_reactor(&w.network, FOLLOWER_ADDR, 1, 0x73);
     let reply = grant_attempt(&w, FOLLOWER_ADDR, 73);
     serving.join().expect("serve");
     assert!(matches!(reply, Message::GrantResponse { .. }), "forwarded grant refused: {reply:?}");
@@ -430,7 +430,7 @@ fn retried_forwarded_grant_hits_primary_dedup_once() {
     let pin = w.channel_key.public_key().fingerprint();
     follower.set_forward_link(Some(ForwardLink::new(w.network.clone(), REPL_ADDR, pin, 0x81)));
 
-    let serving = follower.serve(&w.network, FOLLOWER_ADDR, 2, 0x82);
+    let serving = follower.serve_reactor(&w.network, FOLLOWER_ADDR, 2, 0x82);
     let first = grant_attempt(&w, FOLLOWER_ADDR, 80);
     let second = grant_attempt(&w, FOLLOWER_ADDR, 81);
     serving.join().expect("serve");

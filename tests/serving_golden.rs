@@ -217,15 +217,6 @@ fn assert_golden(replies: &[(String, Vec<u8>)]) {
 }
 
 #[test]
-fn golden_transcript_on_the_pool() {
-    let world = world();
-    let serving = world.cas.serve_with_workers(&world.network, CAS_ADDR, 2, SERVER_SEED, 1);
-    let replies = run_script(&world);
-    serving.join().expect("serve");
-    assert_golden(&replies);
-}
-
-#[test]
 fn golden_transcript_on_a_single_loop_reactor() {
     let world = world();
     let serving = world.cas.serve_reactor_with(&world.network, CAS_ADDR, 2, SERVER_SEED, 1, 1);

@@ -147,7 +147,7 @@ fn persist_failure_flips_degraded_and_recovery_flips_back() {
     let w = world(0x0b52);
     w.cas.set_snapshot_interval(Some(Duration::from_millis(20)));
     let status = w.serve_status(4096);
-    let reactor = w.serve_cas_reactor(2, 0x7ac7);
+    let reactor = w.serve_cas(2, 0x7ac7);
 
     // Fail file writes *before* dirtying state: journal appends still
     // work (grants keep committing), only whole-file snapshot writes

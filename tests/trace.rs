@@ -5,11 +5,12 @@
 //! asserts ONE causal trace whose span tree shows follower admission →
 //! forward → the primary's verify/sign/journal-flush → the sealed
 //! reply, retrievable through the `trace` status view. Around it:
-//! dark-by-default (zero recorder traffic), stage spans on both
-//! serving paths, tail-sampling pins for shed requests, and the
-//! operability satellites (status views served from a follower and
-//! from a fenced / promoted node without touching the journal,
-//! `dedup_replay` latency, uptime + build info).
+//! dark-by-default (zero recorder traffic), stage spans (the reactor's
+//! queue leg included) nesting inside the end-to-end span,
+//! tail-sampling pins for shed requests, and the operability
+//! satellites (status views served from a follower and from a fenced
+//! / promoted node without touching the journal, `dedup_replay`
+//! latency, uptime + build info).
 
 mod common;
 
@@ -158,6 +159,12 @@ fn traced_grant_on_reactor_path_records_queue_span() {
             trace.spans()
         );
     }
+    // Every stage span nests inside the synthesized end-to-end span.
+    for span in trace.spans() {
+        assert!(span.start_ns >= trace.begin_ns, "span {} starts before the trace", span.stage);
+        assert!(span.end_ns <= trace.end_ns, "span {} ends after the trace", span.stage);
+        assert_eq!(span.hop, 0, "single-node trace grew a remote hop");
+    }
 }
 
 #[test]
@@ -179,7 +186,7 @@ fn follower_forwarded_write_produces_one_causal_trace() {
         follow(follower.clone(), w.network.clone(), REPL_ADDR.into(), 0x7a33, fast_backoff());
     wait_for("baseline", || follower.journal_sequence() == w.cas.journal_sequence());
 
-    let serving = follower.serve(&w.network, FOLLOWER_ADDR, 1, 0x7a34);
+    let serving = follower.serve_reactor(&w.network, FOLLOWER_ADDR, 1, 0x7a34);
     let reply = grant_attempt(&w, FOLLOWER_ADDR, 4);
     serving.join().expect("serve");
     assert!(matches!(reply, Message::GrantResponse { .. }), "forwarded grant refused: {reply:?}");
@@ -275,7 +282,7 @@ fn dedup_replay_lands_in_its_own_histogram_and_span() {
     // Satellite: a cached dedup replay is its own latency population.
     // The second identical grant must be answered from the dedup
     // cache, recording one `dedup_replay` histogram sample and a
-    // `dedup_hit` span on its trace.
+    // `dedup_replay` span on its trace.
     let w = world(0x7a50);
     w.cas.set_middleware(MiddlewareConfig {
         dedup: Some(DedupConfig { capacity: 8, ttl: Duration::from_secs(60) }),
@@ -293,10 +300,10 @@ fn dedup_replay_lands_in_its_own_histogram_and_span() {
         1,
         "dedup replay not recorded in its histogram"
     );
-    let trace = trace_with_stage(&w.cas, "dedup_hit");
+    let trace = trace_with_stage(&w.cas, "dedup_replay");
     assert!(
-        trace.spans().iter().any(|s| s.stage == "dedup_hit" && s.outcome == SpanOutcome::Ok),
-        "dedup_hit span missing: {:?}",
+        trace.spans().iter().any(|s| s.stage == "dedup_replay" && s.outcome == SpanOutcome::Ok),
+        "dedup_replay span missing: {:?}",
         trace.spans()
     );
     // The histograms view exposes the new stage.
@@ -374,7 +381,7 @@ fn status_views_serve_from_follower_and_fenced_then_promoted_nodes() {
     // …and the promoted follower answers the Status opcode on the
     // secure channel, views intact, journal untouched by rendering.
     let promoted_seq_before = follower.journal_sequence();
-    let serving = follower.serve(&w.network, FOLLOWER_ADDR, 1, 0x7a74);
+    let serving = follower.serve_reactor(&w.network, FOLLOWER_ADDR, 1, 0x7a74);
     let conn = w.network.connect(FOLLOWER_ADDR).expect("connect");
     let mut rng = StdRng::seed_from_u64(0x7a75);
     let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
