@@ -25,7 +25,8 @@
 //! 5. **Dedicated Montgomery squaring.** Squarings dominate windowed
 //!    exponentiation (four per 4-bit window); `ablation/mont-sqr`
 //!    measures RSA-3072 CRT signing on the `mont_sqr` fast path
-//!    against the previous general-multiplier-only code.
+//!    against the previous general-multiplier-only code — after
+//!    asserting both sign identically and the signature verifies.
 //! 6. **Vectored grant issue.** `ablation/batch-issue` compares N
 //!    sequential `issue` calls against one `issue_batch(N)`, which
 //!    validates once and fans the on-demand signatures out over a
@@ -250,6 +251,13 @@ fn bench_mont_sqr(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0x3072);
     let key = RsaPrivateKey::generate(&mut rng, 3072).expect("keygen");
     let digest = sha256::digest(b"on-demand sigstruct body");
+    // Correctness gate before timing anything, and the release-mode
+    // check of RSA-3072 signing: the concurrent CRT halves on the
+    // squaring path match the general-multiplier reference byte for
+    // byte, and the signature verifies.
+    let signature = key.sign_digest(&digest).expect("sign");
+    assert_eq!(signature, key.sign_digest_mul_only(&digest).expect("sign"));
+    key.public_key().verify_digest(&digest, &signature).expect("signature verifies");
     let mut group = c.benchmark_group("ablation/mont-sqr");
     group.sample_size(20);
     group.bench_function("sign-3072-mont-sqr", |b| {

@@ -664,10 +664,11 @@ fn step_conn(
             let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
             // Handshake flights stay on the loop, KEM decapsulation
             // included. That is not free: a CRT decapsulation under an
-            // RSA-1024 channel key costs ≈0.3 ms on a 2-vCPU x86-64
-            // host (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.8–1.1 ms
-            // for the full-width exponentiation it replaced), during
-            // which this loop's other connections wait.
+            // RSA-1024 channel key costs ≈0.25 ms on a 2-vCPU x86-64
+            // host with its two halves on two threads
+            // (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.4–0.6 ms on
+            // the same host with the halves in sequence), during which
+            // this loop's other connections wait.
             match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
                 Ok(None) => Step::Continue,
                 Ok(Some(channel)) => {

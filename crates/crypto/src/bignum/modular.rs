@@ -3,6 +3,7 @@
 
 use super::Uint;
 use crate::error::CryptoError;
+use std::fmt;
 
 /// Precomputed Montgomery context for a fixed odd modulus.
 ///
@@ -13,7 +14,18 @@ use crate::error::CryptoError;
 /// 3072 bits on a 2-vCPU x86-64 host, against ≈1 ms for the doubling
 /// loop it replaced (`ablation/rsa-crt/montgomery-setup*`) — so
 /// building a context per parsed key is cheap.
-#[derive(Clone, Debug)]
+///
+/// The context is immutable, so one context serves exponentiations on
+/// several threads at once. Each exponentiation allocates its working
+/// memory up front: the 16-entry window table, an accumulator and a
+/// spare of modulus width, and one set of product scratch limbs. Every
+/// Montgomery product then writes into those buffers, so a 1536-bit
+/// RSA-3072 CRT half runs its ≈1,900 products without touching the
+/// allocator.
+///
+/// `Debug` prints the modulus width only: the contexts of an RSA
+/// private key are built over its secret primes.
+#[derive(Clone)]
 pub struct Montgomery {
     /// The modulus, stored once: its limbs drive the product loops
     /// and the value itself reduces inputs in [`Montgomery::to_mont`].
@@ -25,6 +37,31 @@ pub struct Montgomery {
     /// `R mod n` — the Montgomery form of 1, precomputed once per key
     /// so exponentiation never re-derives it per call.
     r1: Vec<u64>,
+}
+
+impl fmt::Debug for Montgomery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Montgomery").field("bits", &self.n.bit_len()).finish()
+    }
+}
+
+/// Working limbs of the product kernels for a `k`-limb modulus. One
+/// exponentiation, or one call of a one-shot helper, owns one set and
+/// passes it to every product it computes.
+struct Scratch {
+    /// `k + 2` limbs: the CIOS accumulator, and the high half that SOS
+    /// squaring assembles before its final subtraction.
+    t: Vec<u64>,
+    /// `2k` limbs: the SOS cross products.
+    cross: Vec<u64>,
+    /// `2k + 1` limbs: the SOS reduction rows.
+    rows: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(k: usize) -> Self {
+        Scratch { t: vec![0; k + 2], cross: vec![0; 2 * k], rows: vec![0; 2 * k + 1] }
+    }
 }
 
 impl Montgomery {
@@ -43,7 +80,7 @@ impl Montgomery {
         let mut mont = Self::without_powers(modulus)?;
         let k = mont.k();
         mont.r2 = pad(&Uint::one().shl(128 * k).rem_ref(modulus), k);
-        mont.r1 = mont.redc(&mont.r2);
+        mont.r1 = mont.redc(&mont.r2, &mut Scratch::new(k));
         Ok(mont)
     }
 
@@ -90,7 +127,8 @@ impl Montgomery {
         self.n.limbs.len()
     }
 
-    /// Montgomery product `a * b * R^{-1} mod n` (CIOS method).
+    /// Montgomery product `out = a * b * R^{-1} mod n` (CIOS method).
+    /// `out` must not alias an input; it may hold anything on entry.
     ///
     /// Kept out-of-line (like [`mont_sqr`]) so the exponentiation loop
     /// alternates between two compact hot loops instead of one huge
@@ -98,12 +136,13 @@ impl Montgomery {
     ///
     /// [`mont_sqr`]: Montgomery::mont_sqr
     #[inline(never)]
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut Scratch) {
         let k = self.k();
         let n = self.n.limbs.as_slice();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(b.len(), k);
-        let mut t = vec![0u64; k + 2];
+        let t = &mut scratch.t[..k + 2];
+        t.fill(0);
         for &ai in a {
             // t += ai * b
             let mut carry = 0u128;
@@ -130,16 +169,11 @@ impl Montgomery {
             t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
             t[k + 1] = 0;
         }
-        t.truncate(k + 1);
-        // Conditional final subtraction.
-        if ge(&t, n) {
-            sub_in_place(&mut t, n);
-        }
-        t.truncate(k);
-        t
+        reduce_into(&t[..k + 1], n, out);
     }
 
-    /// Montgomery squaring `a * a * R^{-1} mod n` (SOS method).
+    /// Montgomery squaring `out = a * a * R^{-1} mod n` (SOS method).
+    /// `out` must not alias `a`; it may hold anything on entry.
     ///
     /// Squarings dominate windowed exponentiation (four per 4-bit
     /// window versus at most one table multiply), so they get a
@@ -148,7 +182,7 @@ impl Montgomery {
     /// being materialized twice as general multiplication does —
     /// nearly halving the single-precision multiplies per squaring.
     #[inline(never)]
-    fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+    fn mont_sqr(&self, a: &[u64], out: &mut [u64], scratch: &mut Scratch) {
         let k = self.k();
         let n = self.n.limbs.as_slice();
         debug_assert_eq!(a.len(), k);
@@ -157,7 +191,8 @@ impl Montgomery {
         // loops run over zipped subslices so the compiler drops the
         // per-limb bounds checks — at CRT half-width the checks
         // otherwise eat the multiply savings.
-        let mut c = vec![0u64; 2 * k];
+        let c = &mut scratch.cross[..2 * k];
+        c.fill(0);
         for i in 0..k {
             let ai = a[i];
             let start = 2 * i + 1;
@@ -185,7 +220,8 @@ impl Montgomery {
         // assembled on the fly exactly when the reduction needs it.
         // This saves a full read-modify-write sweep (and its serial
         // carry chain) over the double-width product.
-        let mut r = vec![0u64; 2 * k + 1];
+        let r = &mut scratch.rows[..2 * k + 1];
+        r.fill(0);
         let mut comb = 0u128;
         let mut sq = 0u128;
         for i in 0..k {
@@ -218,8 +254,8 @@ impl Montgomery {
         }
         // High half: combine reduction rows, doubled cross products,
         // diagonals and the carry into the result limbs.
-        let mut out = Vec::with_capacity(k + 1);
-        for p in k..=2 * k {
+        let high = &mut scratch.t[..k + 1];
+        for (limb, p) in high.iter_mut().zip(k..=2 * k) {
             let doubled =
                 if p < 2 * k { (c[p] << 1) | (c[p - 1] >> 63) } else { c[2 * k - 1] >> 63 };
             let diag = if p % 2 == 0 {
@@ -233,41 +269,49 @@ impl Montgomery {
                 (sq >> 64) as u64
             };
             let v = r[p] as u128 + doubled as u128 + diag as u128 + comb;
-            out.push(v as u64);
+            *limb = v as u64;
             comb = v >> 64;
         }
         debug_assert_eq!(comb, 0);
-        if ge(&out, n) {
-            sub_in_place(&mut out, n);
-        }
-        out.truncate(k);
+        reduce_into(high, n, out);
+    }
+
+    /// [`mont_mul`] into a newly allocated result, for the one-shot
+    /// helpers.
+    ///
+    /// [`mont_mul`]: Montgomery::mont_mul
+    fn product(&self, a: &[u64], b: &[u64], scratch: &mut Scratch) -> Vec<u64> {
+        let mut out = vec![0; self.k()];
+        self.mont_mul(a, b, &mut out, scratch);
         out
     }
 
     /// Converts into Montgomery form.
-    fn to_mont(&self, a: &Uint) -> Vec<u64> {
-        self.mont_mul(&pad(&a.rem_ref(&self.n), self.k()), &self.r2)
+    fn to_mont(&self, a: &Uint, scratch: &mut Scratch) -> Vec<u64> {
+        self.product(&pad(&a.rem_ref(&self.n), self.k()), &self.r2, scratch)
     }
 
     /// Montgomery reduction `a * R^{-1} mod n` (a product with 1).
-    fn redc(&self, a: &[u64]) -> Vec<u64> {
-        let mut one = vec![0u64; self.k()];
+    fn redc(&self, a: &[u64], scratch: &mut Scratch) -> Vec<u64> {
+        let mut one = vec![0; self.k()];
         one[0] = 1;
-        self.mont_mul(a, &one)
+        self.product(a, &one, scratch)
     }
 
     /// Converts out of Montgomery form.
     #[allow(clippy::wrong_self_convention)] // "from Montgomery form", not a constructor
-    fn from_mont(&self, a: &[u64]) -> Uint {
-        Uint::from_limbs(self.redc(a))
+    fn from_mont(&self, a: &[u64], scratch: &mut Scratch) -> Uint {
+        Uint::from_limbs(self.redc(a, scratch))
     }
 
     /// Modular multiplication `a * b mod n`.
     #[must_use]
     pub fn mul(&self, a: &Uint, b: &Uint) -> Uint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let mut scratch = Scratch::new(self.k());
+        let am = self.to_mont(a, &mut scratch);
+        let bm = self.to_mont(b, &mut scratch);
+        let product = self.product(&am, &bm, &mut scratch);
+        self.from_mont(&product, &mut scratch)
     }
 
     /// Modular exponentiation `base^exp mod n` using a 4-bit window,
@@ -295,25 +339,34 @@ impl Montgomery {
             // The modulus exceeds one, so `1 mod n` is 1 itself.
             return Uint::one();
         }
-        let base_m = self.to_mont(base);
+        let k = self.k();
+        let mut scratch = Scratch::new(k);
+        let base_m = self.to_mont(base, &mut scratch);
 
-        // Precompute base^0..base^15 in Montgomery form; base^0 is the
-        // per-key precomputed R mod n.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
+        // Precompute base^0..base^15 in Montgomery form, entry i at
+        // limbs i*k..(i+1)*k; base^0 is the per-key precomputed R mod n.
+        let mut table = vec![0; 16 * k];
+        table[..k].copy_from_slice(&self.r1);
         for i in 1..16 {
-            let next = self.mont_mul(&table[i - 1], &base_m);
-            table.push(next);
+            let (done, rest) = table.split_at_mut(i * k);
+            self.mont_mul(&done[(i - 1) * k..], &base_m, &mut rest[..k], &mut scratch);
         }
 
+        // Each product writes into `spare`, which then swaps with `acc`.
+        let mut acc = self.r1.clone(); // 1 in Montgomery form
+        let mut spare = vec![0; k];
         let bits = exp.bit_len();
         let windows = bits.div_ceil(4);
-        let mut acc = table[0].clone(); // 1 in Montgomery form
         let mut started = false;
         for w in (0..windows).rev() {
             if started {
                 for _ in 0..4 {
-                    acc = if use_sqr { self.mont_sqr(&acc) } else { self.mont_mul(&acc, &acc) };
+                    if use_sqr {
+                        self.mont_sqr(&acc, &mut spare, &mut scratch);
+                    } else {
+                        self.mont_mul(&acc, &acc, &mut spare, &mut scratch);
+                    }
+                    std::mem::swap(&mut acc, &mut spare);
                 }
             }
             let mut idx = 0usize;
@@ -324,23 +377,25 @@ impl Montgomery {
                     idx |= 1;
                 }
             }
+            // A zero window multiplies by 1 (skipped); before the first
+            // set bit there is nothing to square either.
             if idx != 0 {
-                acc = self.mont_mul(&acc, &table[idx]);
+                self.mont_mul(&acc, &table[idx * k..(idx + 1) * k], &mut spare, &mut scratch);
+                std::mem::swap(&mut acc, &mut spare);
                 started = true;
-            } else if started {
-                // Multiply by 1 (no-op) — keep timing uniform-ish.
-            } else {
-                // Leading zero windows before the first set bit.
             }
         }
-        self.from_mont(&acc)
+        self.from_mont(&acc, &mut scratch)
     }
 
     /// Modular squaring `a^2 mod n` on the dedicated squaring path.
     #[must_use]
     pub fn sqr(&self, a: &Uint) -> Uint {
-        let am = self.to_mont(a);
-        self.from_mont(&self.mont_sqr(&am))
+        let mut scratch = Scratch::new(self.k());
+        let am = self.to_mont(a, &mut scratch);
+        let mut square = vec![0; self.k()];
+        self.mont_sqr(&am, &mut square, &mut scratch);
+        self.from_mont(&square, &mut scratch)
     }
 }
 
@@ -360,17 +415,26 @@ fn ge(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
-/// `a -= b` in place; `a` may be longer than `b`.
-fn sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (i, ai) in a.iter_mut().enumerate() {
-        let bi = b.get(i).copied().unwrap_or(0);
-        let (d1, b1) = ai.overflowing_sub(bi);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *ai = d2;
-        borrow = (b1 as u64) + (b2 as u64);
+/// The final conditional subtraction of both product kernels: writes
+/// `t mod n` into the `k` limbs of `out`, for a `k + 1`-limb `t < 2n`.
+/// When `t >= n` the difference fits `k` limbs, so the borrow out of
+/// the low `k` limbs cancels `t`'s top limb exactly.
+fn reduce_into(t: &[u64], n: &[u64], out: &mut [u64]) {
+    let k = n.len();
+    debug_assert_eq!(t.len(), k + 1);
+    debug_assert_eq!(out.len(), k);
+    if !ge(t, n) {
+        out.copy_from_slice(&t[..k]);
+        return;
     }
-    debug_assert_eq!(borrow, 0);
+    let mut borrow = 0u64;
+    for ((o, &ti), &ni) in out.iter_mut().zip(t).zip(n) {
+        let (d1, b1) = ti.overflowing_sub(ni);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *o = d2;
+        borrow = u64::from(b1) + u64::from(b2);
+    }
+    debug_assert_eq!(borrow, t[k]);
 }
 
 fn pad(u: &Uint, k: usize) -> Vec<u64> {
@@ -574,14 +638,37 @@ mod tests {
 
     #[test]
     fn sqr_and_pow_agree_at_rsa_width() {
-        // 1536-bit odd modulus — the width of one RSA-3072 CRT half.
-        let mut m = wide(24, 1);
+        // 1536-bit and 3072-bit odd moduli: the width of one RSA-3072
+        // CRT half, and of the full RSA-3072 modulus.
+        for limbs in [24, 48] {
+            let mut m = wide(limbs, 1);
+            m.set_bit(0);
+            let mont = Montgomery::new(&m).unwrap();
+            let a = wide(limbs, 2).rem_ref(&m);
+            assert_eq!(mont.sqr(&a), (&a * &a).rem_ref(&m), "{limbs} limbs");
+            let e = wide(limbs, 3);
+            assert_eq!(mont.pow(&a, &e), mont.pow_mul_only(&a, &e), "{limbs} limbs");
+        }
+    }
+
+    #[test]
+    fn reused_context_matches_fresh_mod_pow() {
+        // One context runs exponentiation after exponentiation; none
+        // may see working limbs a previous one left behind. The
+        // exponents go from full width to zero and back, and the bases
+        // include the modulus, values above it and a wider value.
+        let mut m = wide(24, 4);
         m.set_bit(0);
         let mont = Montgomery::new(&m).unwrap();
-        let a = wide(24, 2).rem_ref(&m);
-        assert_eq!(mont.sqr(&a), (&a * &a).rem_ref(&m));
-        let e = wide(24, 3);
-        assert_eq!(mont.pow(&a, &e), mont.pow_mul_only(&a, &e));
+        let full = wide(24, 5);
+        let exponents =
+            [full.clone(), Uint::zero(), Uint::one(), Uint::from_u64(65_537), full, Uint::one()];
+        let bases = [m.clone(), m.add_ref(&Uint::one()), wide(30, 6), wide(24, 7).rem_ref(&m)];
+        for e in &exponents {
+            for a in &bases {
+                assert_eq!(mont.pow(a, e), a.mod_pow(e, &m), "a = {a:?}, e = {e:?}");
+            }
+        }
     }
 
     fn arb_uint(max_limbs: usize) -> impl Strategy<Value = Uint> {

@@ -56,6 +56,7 @@ pub mod ct;
 pub mod error;
 pub mod hkdf;
 pub mod hmac;
+mod join;
 pub mod poly1305;
 pub mod prime;
 pub mod rng;

@@ -12,13 +12,21 @@
 //! quoting-enclave and attestation-root keys), one SinClave start
 //! performs:
 //!
-//! * **Private-key operations** — all CRT, through one helper:
-//!   - CAS, compute pool: one RSA-3072 signature over the on-demand
-//!     singleton SigStruct.
+//! * **Private-key operations** — all CRT, through one helper that
+//!   runs the two half-width exponentiations on two threads: the
+//!   calling thread takes the p half while one of the crate's
+//!   long-lived helper threads takes the q half, unless the caller
+//!   finishes first and takes it back.
+//!   - CAS, compute pool worker: one RSA-3072 signature over the
+//!     on-demand singleton SigStruct.
 //!   - CAS, reactor event loop: two RSA-1024 KEM decapsulations, one
 //!     per secure-channel handshake (grant and attestation).
 //!   - Starter host, quoting enclave: one RSA-1024 signature over the
 //!     quote.
+//!
+//!   Each operation's wall time is about one half's cost on an idle
+//!   two-core host, and approaches the sequential cost of both halves
+//!   when every core is busy.
 //! * **Public-key operations** (exponent 65537):
 //!   - Starter: two KEM encapsulations under the CAS channel key, and
 //!     the `EINIT` verification of the granted SigStruct.
@@ -214,10 +222,10 @@ pub struct RsaPrivateKey {
     p: Uint,
     q: Uint,
     dp: Uint,
-    dq: Uint,
+    dq: Arc<Uint>,
     q_inv: Uint,
     mont_p: Montgomery,
-    mont_q: Montgomery,
+    mont_q: Arc<Montgomery>,
 }
 
 impl fmt::Debug for RsaPrivateKey {
@@ -265,11 +273,11 @@ impl RsaPrivateKey {
                 continue; // gcd(e, phi) != 1; resample
             };
             let dp = d.rem_ref(&p1);
-            let dq = d.rem_ref(&q1);
+            let dq = Arc::new(d.rem_ref(&q1));
             let q_inv = q.mod_inv(&p).expect("p, q distinct primes");
             let public = RsaPublicKey::new(n, e.clone())?;
             let mont_p = Montgomery::new(&p)?;
-            let mont_q = Montgomery::new(&q)?;
+            let mont_q = Arc::new(Montgomery::new(&q)?);
             return Ok(RsaPrivateKey { public, d, p, q, dp, dq, q_inv, mont_p, mont_q });
         }
     }
@@ -330,14 +338,27 @@ impl RsaPrivateKey {
     /// `(x mod n)^d mod n` exactly like the full-width computation.
     /// `use_sqr = false` selects the general multiplier for squarings
     /// (the `*_mul_only` ablation baseline only).
+    ///
+    /// The two halves are independent, so the q half is offered to a
+    /// helper thread while the calling thread runs the p half (see
+    /// [`crate::join`]). If no helper has started it by then, the
+    /// caller runs the q half itself, with the same result; a panic in
+    /// the helper resumes on the caller.
     fn private_pow(&self, x: &Uint, use_sqr: bool) -> Uint {
         // CRT: m1 = x^dp mod p, m2 = x^dq mod q,
         //      h = q_inv (m1 - m2) mod p, s = m2 + h q.
-        let (m1, m2) = if use_sqr {
-            (self.mont_p.pow(x, &self.dp), self.mont_q.pow(x, &self.dq))
-        } else {
-            (self.mont_p.pow_mul_only(x, &self.dp), self.mont_q.pow_mul_only(x, &self.dq))
+        let half = move |mont: &Montgomery, exp: &Uint, x: &Uint| {
+            if use_sqr {
+                mont.pow(x, exp)
+            } else {
+                mont.pow_mul_only(x, exp)
+            }
         };
+        let (mont_q, dq, base) = (Arc::clone(&self.mont_q), Arc::clone(&self.dq), x.clone());
+        let (m1, m2) = crate::join::join(
+            || half(&self.mont_p, &self.dp, x),
+            move || half(&mont_q, &dq, &base),
+        );
         let diff = if m1 >= m2 {
             m1.checked_sub(&m2).expect("m1 >= m2")
         } else {
@@ -425,8 +446,12 @@ mod tests {
     use rand::SeedableRng;
 
     fn test_key(seed: u64) -> RsaPrivateKey {
+        test_key_bits(seed, 1024)
+    }
+
+    fn test_key_bits(seed: u64, bits: usize) -> RsaPrivateKey {
         let mut rng = StdRng::seed_from_u64(seed);
-        RsaPrivateKey::generate(&mut rng, 1024).expect("keygen")
+        RsaPrivateKey::generate(&mut rng, bits).expect("keygen")
     }
 
     #[test]
@@ -581,33 +606,75 @@ mod tests {
 
     #[test]
     fn crt_decapsulation_matches_full_width_reference() {
-        // The pre-CRT decapsulation: one full-width exponentiation by d.
-        let key = test_key(40);
-        let n = key.public_key().modulus();
-        let len = key.public_key().modulus_len();
-        let mut cases = vec![
-            Uint::zero(),
-            Uint::one(),
-            key.p.clone(),
-            &key.p * &Uint::from_u64(3),
-            key.q.clone(),
-            // Modulus-length ciphertexts at or above n: the reference
-            // reduces them mod n first, and so must the CRT halves.
-            n.clone(),
-            n.add_ref(&key.p),
-            Uint::one().shl(8 * len).checked_sub(&Uint::one()).unwrap(),
-        ];
-        let mut rng = StdRng::seed_from_u64(41);
-        let above_n = Uint::one().shl(8 * len).checked_sub(n).unwrap();
-        for _ in 0..8 {
-            cases.push(crate::rng::uint_below(&mut rng, n));
-            cases.push(n.add_ref(&crate::rng::uint_below(&mut rng, &above_n)));
+        // The pre-CRT private-key operation: one full-width
+        // exponentiation by d. Both concurrent halves must recombine
+        // to it at the channel-key width and at a width whose halves
+        // are 1024 bits.
+        for (seed, bits) in [(40, 1024), (42, 2048)] {
+            let key = test_key_bits(seed, bits);
+            let n = key.public_key().modulus();
+            let len = key.public_key().modulus_len();
+            let mut cases = vec![
+                Uint::zero(),
+                Uint::one(),
+                key.p.clone(),
+                &key.p * &Uint::from_u64(3),
+                key.q.clone(),
+                // Modulus-length ciphertexts at or above n: the
+                // reference reduces them mod n first, and so must the
+                // CRT halves.
+                n.clone(),
+                n.add_ref(&key.p),
+                Uint::one().shl(8 * len).checked_sub(&Uint::one()).unwrap(),
+            ];
+            let mut rng = StdRng::seed_from_u64(seed + 1);
+            let above_n = Uint::one().shl(8 * len).checked_sub(n).unwrap();
+            for _ in 0..8 {
+                cases.push(crate::rng::uint_below(&mut rng, n));
+                cases.push(n.add_ref(&crate::rng::uint_below(&mut rng, &above_n)));
+            }
+            for c in &cases {
+                let ciphertext = c.to_be_bytes_padded(len).unwrap();
+                let reference = kem_kdf(&c.mod_pow(&key.d, n), len).unwrap();
+                assert_eq!(
+                    key.kem_decapsulate(&ciphertext).unwrap(),
+                    reference,
+                    "{bits} bits, c = {c:?}"
+                );
+            }
+
+            for message in [&b"grant"[..], b"quote"] {
+                let digest = sha256::digest(message);
+                let em = Uint::from_be_bytes(&emsa_pkcs1_v15(&digest, len).unwrap());
+                let reference = em.mod_pow(&key.d, n).to_be_bytes_padded(len).unwrap();
+                assert_eq!(key.sign_digest(&digest).unwrap(), reference, "{bits} bits");
+            }
         }
-        for c in &cases {
-            let ciphertext = c.to_be_bytes_padded(len).unwrap();
-            let reference = kem_kdf(&c.mod_pow(&key.d, n), len).unwrap();
-            assert_eq!(key.kem_decapsulate(&ciphertext).unwrap(), reference, "c = {c:?}");
-        }
+    }
+
+    #[test]
+    fn concurrent_signers_share_one_key() {
+        // Eight threads, each running its own pair of CRT halves on the
+        // same key's contexts, released together by a barrier.
+        const SIGNERS: usize = 8;
+        let key = test_key(43);
+        let digests: Vec<_> = (0..SIGNERS).map(|i| sha256::digest(&i.to_le_bytes())).collect();
+        let sequential: Vec<_> = digests.iter().map(|d| key.sign_digest(d).unwrap()).collect();
+        let barrier = std::sync::Barrier::new(SIGNERS);
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = digests
+                .iter()
+                .map(|digest| {
+                    let (key, barrier) = (&key, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        key.sign_digest(digest).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(concurrent, sequential);
     }
 
     #[test]
@@ -628,5 +695,11 @@ mod tests {
         assert!(rendered.contains("fingerprint"));
         assert!(!rendered.contains(&key.d.to_hex()));
         assert!(!rendered.contains(&key.p.to_hex()));
+        // The CRT contexts are built over the secret primes.
+        let context = format!("{:?} {:#?}", key.mont_p, key.mont_q);
+        for limb in key.p.limbs.iter().chain(&key.q.limbs) {
+            assert!(!context.contains(&limb.to_string()), "{context}");
+            assert!(!context.contains(&format!("{limb:x}")), "{context}");
+        }
     }
 }
