@@ -130,8 +130,10 @@ pub struct Analysis {
 const PANIC_SCOPE: &[&str] =
     &["crates/cas/src/", "crates/net/src/", "crates/fs/src/", "crates/core/src/"];
 
-/// The one module allowed to contain `unsafe` (the SHA-NI island).
-const UNSAFE_WHITELIST: &[&str] = &["crates/crypto/src/sha256.rs"];
+/// The modules allowed to contain `unsafe`: the two CPU-intrinsics
+/// islands (SHA-NI hashing and the AVX-512 IFMA bignum kernel).
+pub(crate) const UNSAFE_WHITELIST: &[&str] =
+    &["crates/crypto/src/sha256.rs", "crates/crypto/src/bignum/ifma.rs"];
 
 /// Replay/decode paths rule SA006 (determinism) covers: bit-identical
 /// recovery must not read wall clocks.

@@ -1,16 +1,18 @@
 //! SA004 — unsafe hygiene.
 //!
-//! `unsafe` is confined to one whitelisted island (the SHA-NI
-//! intrinsics in `crates/crypto/src/sha256.rs`); anywhere else it is a
-//! finding regardless of justification — move the code into the island
-//! or find a safe formulation. Inside the island, every `unsafe`
-//! keyword must have a `// SAFETY:` comment within the three lines
-//! above it explaining why the invariants hold.
+//! `unsafe` is confined to two whitelisted islands of CPU intrinsics
+//! behind runtime feature detection: SHA-NI hashing in
+//! `crates/crypto/src/sha256.rs` and the AVX-512 IFMA Montgomery kernel
+//! in `crates/crypto/src/bignum/ifma.rs`. Anywhere else it is a finding
+//! regardless of justification — move the code into an island or find
+//! a safe formulation. Inside an island, every `unsafe` keyword must
+//! have a `// SAFETY:` comment within the three lines above it
+//! explaining why the invariants hold.
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, UNSAFE_WHITELIST};
 
 /// How far above an `unsafe` keyword a `SAFETY:` comment may sit.
 const SAFETY_COMMENT_REACH: u32 = 3;
@@ -26,10 +28,11 @@ pub(super) fn check(file: &SourceFile, whitelisted: bool, out: &mut Vec<Finding>
                 rule: Rule::UnsafeHygiene,
                 path: file.path.clone(),
                 line: tok.line,
-                message: "`unsafe` outside the whitelisted intrinsics island \
-                          (crates/crypto/src/sha256.rs) — find a safe formulation or move the \
-                          code into the island"
-                    .to_owned(),
+                message: format!(
+                    "`unsafe` outside the whitelisted intrinsics islands ({}) — find a safe \
+                     formulation or move the code into an island",
+                    UNSAFE_WHITELIST.join(", ")
+                ),
             });
             continue;
         }

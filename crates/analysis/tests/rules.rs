@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use sinclave_analysis::{analyze, Config, LockManifest, SourceFile};
+use sinclave_analysis::{analyze, workspace, Config, LockManifest, SourceFile};
 
 /// Manifest the lock-order fixtures are written against.
 const FIXTURE_MANIFEST: &str = "10 journal\n20 volume\n30 shards, policies\n40 queue\n";
@@ -20,6 +20,8 @@ const FIXTURE_MANIFEST: &str = "10 journal\n20 volume\n30 shards, policies\n40 q
 const SERVING_PATH: &str = "crates/cas/src/fixture.rs";
 /// The unsafe island label: SA004's SAFETY-comment mode applies.
 const ISLAND_PATH: &str = "crates/crypto/src/sha256.rs";
+/// The second unsafe island: the AVX-512 IFMA bignum kernel.
+const IFMA_ISLAND_PATH: &str = "crates/crypto/src/bignum/ifma.rs";
 /// A replay-scope label: SA006 applies.
 const REPLAY_PATH: &str = "crates/fs/src/journal.rs";
 
@@ -136,6 +138,51 @@ fn unsafe_outside_island_fires_even_when_documented() {
         analysis.findings.iter().filter(|f| f.rule.id() == "SA004").collect();
     assert_eq!(unsafe_findings.len(), 1, "findings: {:?}", analysis.findings);
     assert!(unsafe_findings[0].message.contains("outside the whitelisted"));
+}
+
+#[test]
+fn unsafe_in_ifma_island_still_needs_a_safety_comment() {
+    check_fixture("unsafe_positive.rs", IFMA_ISLAND_PATH);
+    check_fixture("unsafe_negative.rs", IFMA_ISLAND_PATH);
+}
+
+#[test]
+fn unsafe_elsewhere_in_crypto_fires_even_when_documented() {
+    // The whitelist names two files, not the crate or its bignum
+    // module: the portable kernels beside the IFMA one stay safe code.
+    for path in ["crates/crypto/src/bignum/modular.rs", "crates/crypto/src/rsa.rs"] {
+        let bytes = fixture_bytes("unsafe_negative.rs");
+        let analysis = analyze(&[SourceFile::parse(path, bytes)], &Config::default());
+        let unsafe_findings: Vec<_> =
+            analysis.findings.iter().filter(|f| f.rule.id() == "SA004").collect();
+        assert_eq!(unsafe_findings.len(), 1, "{path}: {:?}", analysis.findings);
+        assert!(unsafe_findings[0].message.contains("outside the whitelisted"));
+    }
+}
+
+#[test]
+fn workspace_has_no_findings() {
+    // What `sinclave-analysis --workspace` checks, run over this
+    // checkout with its lock manifest.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = std::fs::read_to_string(root.join("crates/analysis/lock-order.manifest"))
+        .expect("lock manifest");
+    let config = Config { manifest: LockManifest::parse(&manifest).expect("manifest parses") };
+    let files: Vec<_> = workspace::collect_rs_files(&root)
+        .expect("walk workspace")
+        .into_iter()
+        .map(|rel| {
+            let bytes = std::fs::read(root.join(&rel)).expect("read source");
+            SourceFile::parse(&rel.to_string_lossy().replace('\\', "/"), bytes)
+        })
+        .collect();
+    assert!(files.iter().any(|f| f.path == IFMA_ISLAND_PATH), "the IFMA island is analyzed");
+    let analysis = analyze(&files, &config);
+    assert!(
+        analysis.findings.is_empty(),
+        "findings:\n{}",
+        analysis.findings.iter().map(|f| format!("  {f}")).collect::<Vec<_>>().join("\n")
+    );
 }
 
 #[test]

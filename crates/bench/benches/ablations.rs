@@ -22,11 +22,14 @@
 //!    secret), then the per-key Montgomery set-up at 3072 bits: one
 //!    division for `R^2 mod n` against the earlier 64·k doublings
 //!    (after asserting both contexts exponentiate identically).
-//! 5. **Dedicated Montgomery squaring.** Squarings dominate windowed
+//! 5. **Exponentiation backends.** Squarings dominate windowed
 //!    exponentiation (four per 4-bit window); `ablation/mont-sqr`
-//!    measures RSA-3072 CRT signing on the `mont_sqr` fast path
-//!    against the previous general-multiplier-only code — after
-//!    asserting both sign identically and the signature verifies.
+//!    measures RSA-3072 CRT signing, and one 1536-bit exponentiation,
+//!    on the detected backend — AVX-512 IFMA where the CPU has it
+//!    (the backend is printed), otherwise the portable `mont_sqr` fast
+//!    path — against the portable general-multiplier-only code, after
+//!    asserting both give identical results and the signature
+//!    verifies.
 //! 6. **Vectored grant issue.** `ablation/batch-issue` compares N
 //!    sequential `issue` calls against one `issue_batch(N)`, which
 //!    validates once and fans the on-demand signatures out over a
@@ -85,7 +88,7 @@ use sinclave::signer::{sign_enclave, SignerConfig};
 use sinclave::verifier::SingletonIssuer;
 use sinclave::{AttestationToken, BaseEnclaveHash};
 use sinclave_bench::hash_buffer;
-use sinclave_crypto::bignum::{Montgomery, Uint};
+use sinclave_crypto::bignum::{self, Montgomery, Uint};
 use sinclave_crypto::rsa::RsaPrivateKey;
 use sinclave_crypto::sha256;
 use sinclave_sgx::secinfo::SecInfo;
@@ -247,17 +250,29 @@ fn private_exponent(key: &RsaPrivateKey) -> &Uint {
 }
 
 fn bench_mont_sqr(c: &mut Criterion) {
+    // `Montgomery::pow` runs on AVX-512 IFMA where the CPU has it; the
+    // mul-only reference is always the portable kernel.
+    let backend = if bignum::ifma_available() { "avx512-ifma" } else { "portable" };
+    println!("ablation/mont-sqr: bignum backend {backend}; mul-only reference portable");
     // The paper's mandated signer key size; CRT halves are 1536 bits.
     let mut rng = StdRng::seed_from_u64(0x3072);
     let key = RsaPrivateKey::generate(&mut rng, 3072).expect("keygen");
     let digest = sha256::digest(b"on-demand sigstruct body");
     // Correctness gate before timing anything, and the release-mode
     // check of RSA-3072 signing: the concurrent CRT halves on the
-    // squaring path match the general-multiplier reference byte for
-    // byte, and the signature verifies.
+    // detected backend match the portable general-multiplier
+    // reference byte for byte, and the signature verifies.
     let signature = key.sign_digest(&digest).expect("sign");
     assert_eq!(signature, key.sign_digest_mul_only(&digest).expect("sign"));
     key.public_key().verify_digest(&digest, &signature).expect("signature verifies");
+    // The same gate for one exponentiation at CRT-half width.
+    let mut modulus = Uint::from_be_bytes(&hash_buffer(192));
+    modulus.set_bit(1535);
+    modulus.set_bit(0);
+    let mont = Montgomery::new(&modulus).expect("odd modulus");
+    let (base, exponent) =
+        (Uint::from_be_bytes(&hash_buffer(200)), Uint::from_be_bytes(&hash_buffer(191)));
+    assert_eq!(mont.pow(&base, &exponent), mont.pow_mul_only(&base, &exponent));
     let mut group = c.benchmark_group("ablation/mont-sqr");
     group.sample_size(20);
     group.bench_function("sign-3072-mont-sqr", |b| {
@@ -265,6 +280,12 @@ fn bench_mont_sqr(c: &mut Criterion) {
     });
     group.bench_function("sign-3072-mul-only", |b| {
         b.iter(|| key.sign_digest_mul_only(&digest).expect("sign"));
+    });
+    group.bench_function("pow-1536", |b| {
+        b.iter(|| mont.pow(&base, &exponent));
+    });
+    group.bench_function("pow-1536-mul-only", |b| {
+        b.iter(|| mont.pow_mul_only(&base, &exponent));
     });
     group.finish();
 }

@@ -211,9 +211,16 @@ struct EventLoop<'a> {
     inbox: Arc<parking_lot::Mutex<VecDeque<LoopMsg>>>,
     jobs: crossbeam::channel::Sender<Job>,
     /// Connection table; the token of entry `i` is `TOKEN_CONN0 + i`.
-    /// Closed entries become `None` (tokens are never reused within a
-    /// serve run).
+    /// Closed entries become `None` and their index joins `free`, so
+    /// the table is as long as the most connections open at once, not
+    /// one entry per connection ever served (each loop iteration scans
+    /// it for deadlines).
     conns: Vec<Option<ConnState>>,
+    /// Indices of closed entries, reused by the next registrations. A
+    /// connection only closes with no request in flight, so no
+    /// completion can arrive for a reused token; a stale readiness
+    /// event just drains the new connection, which is harmless.
+    free: Vec<usize>,
     live: usize,
     /// Loop 0 only: the accept side.
     listener: Option<Listener>,
@@ -289,6 +296,7 @@ fn run_reactor(
                 inbox: inboxes[id].clone(),
                 jobs: job_tx.clone(),
                 conns: Vec::new(),
+                free: Vec::new(),
                 live: 0,
                 listener: if id == 0 { listener.take() } else { None },
                 accepted: 0,
@@ -486,10 +494,10 @@ impl EventLoop<'_> {
     /// already sent).
     fn register(&mut self, slot: u64, conn: Connection) {
         let conn = Arc::new(conn);
-        let token = TOKEN_CONN0 + self.conns.len() as u64;
-        let ready = self.poller.readiness(token);
+        let index = claim_slot(&mut self.conns, &mut self.free);
+        let ready = self.poller.readiness(TOKEN_CONN0 + index as u64);
         conn.watch(&ready);
-        self.conns.push(Some(ConnState {
+        self.conns[index] = Some(ConnState {
             conn,
             phase: Phase::Handshake {
                 machine: ServerHandshake::new(),
@@ -497,7 +505,7 @@ impl EventLoop<'_> {
             },
             ready,
             last_activity: Instant::now(),
-        }));
+        });
         self.live += 1;
     }
 
@@ -528,6 +536,7 @@ impl EventLoop<'_> {
         if let Some(entry) = self.conns.get_mut(index) {
             if entry.take().is_some() {
                 self.live -= 1;
+                self.free.push(index);
             }
         }
     }
@@ -631,6 +640,15 @@ enum Step {
     Close,
 }
 
+/// The index of an empty table entry: a freed one if any, else a new
+/// one at the end.
+fn claim_slot<T>(table: &mut Vec<Option<T>>, free: &mut Vec<usize>) -> usize {
+    free.pop().unwrap_or_else(|| {
+        table.push(None);
+        table.len() - 1
+    })
+}
+
 fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnState> {
     let index = usize::try_from(token.checked_sub(TOKEN_CONN0)?).ok()?;
     conns.get_mut(index)?.as_mut()
@@ -664,11 +682,11 @@ fn step_conn(
             let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
             // Handshake flights stay on the loop, KEM decapsulation
             // included. That is not free: a CRT decapsulation under an
-            // RSA-1024 channel key costs ≈0.25 ms on a 2-vCPU x86-64
-            // host with its two halves on two threads
-            // (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.4–0.6 ms on
-            // the same host with the halves in sequence), during which
-            // this loop's other connections wait.
+            // RSA-1024 channel key costs ≈0.13–0.15 ms on a 2-vCPU
+            // x86-64 host with AVX-512 IFMA and its two halves on two
+            // threads (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.26 ms
+            // on the portable kernel), during which this loop's other
+            // connections wait.
             match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
                 Ok(None) => Step::Continue,
                 Ok(Some(channel)) => {
@@ -798,6 +816,28 @@ mod tests {
             store,
         );
         (cas, signer_key)
+    }
+
+    #[test]
+    fn closed_slots_are_reused() {
+        // Sequential connections, as a client fleet dialing one start
+        // after another makes them: the table holds the peak number
+        // open at once, not one entry per connection served.
+        let (mut table, mut free) = (Vec::<Option<u64>>::new(), Vec::new());
+        for conn in 0..1000u64 {
+            let index = super::claim_slot(&mut table, &mut free);
+            assert!(table[index].is_none());
+            table[index] = Some(conn);
+            if conn % 2 == 1 {
+                // Two open at once, then both close.
+                for (i, entry) in table.iter_mut().enumerate() {
+                    if entry.take().is_some() {
+                        free.push(i);
+                    }
+                }
+            }
+        }
+        assert_eq!(table.len(), 2);
     }
 
     #[test]

@@ -54,8 +54,9 @@
 //!
 //! * **Snapshots** — the issuer's verified-SigStruct cache and token
 //!   table, sealed as a versioned snapshot
-//!   ([`CasServer::persist_state`], on a configurable grant/redemption
-//!   cadence and at graceful shutdown) and restored at construction,
+//!   ([`CasServer::persist_state`], on a grant/redemption cadence —
+//!   every [`DEFAULT_SNAPSHOT_CADENCE`] events unless configured — and
+//!   at graceful shutdown) and restored at construction,
 //!   so a restarted CAS serves its first repeat grant without
 //!   re-running the ~0.4 ms RSA SigStruct verification. Snapshot
 //!   writes are skipped while the durable state is unchanged since the
@@ -68,7 +69,9 @@
 //!   its reply is acknowledged**; restore replays the journal suffix
 //!   on top of the latest snapshot; each persisted snapshot writes a
 //!   checkpoint and truncates the epochs it covers, so the log stays
-//!   bounded.
+//!   bounded by the cadence (with the cadence set to `0` and no
+//!   [`CasServer::set_snapshot_interval`], only explicit persists
+//!   truncate it).
 //!
 //! Exactly-once token redemption is therefore **crash-absolute**, not
 //! snapshot-relative: a token whose redemption was acked is never
@@ -132,6 +135,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::sync::Weak;
 use std::time::{Duration, Instant};
+
+/// The snapshot cadence a new server starts with: persist, and so
+/// checkpoint and truncate the journal, after every this many grants
+/// and after every this many redemptions. Without it the sealed
+/// journal would keep every group-commit batch for the server's
+/// lifetime. [`CasServer::set_snapshot_cadence`] overrides it; `0`
+/// turns cadence-triggered persists off.
+pub const DEFAULT_SNAPSHOT_CADENCE: u64 = 256;
 
 /// Defines [`CasStats`] (the live atomics) and [`StatsSnapshot`] (its
 /// coherent read-side copy) from a single field list, so the status
@@ -333,8 +344,9 @@ pub struct CasServer {
     /// Policy store; internally sharded and safe for concurrent use
     /// (retrieval is a shard read-lock plus an `Arc` bump).
     store: CasStore,
-    /// Persist the issuer snapshot after every this many grants;
-    /// `0` disables cadence-triggered snapshots (explicit
+    /// Persist the issuer snapshot after every this many grants and
+    /// redemptions ([`DEFAULT_SNAPSHOT_CADENCE`] unless set); `0`
+    /// disables cadence-triggered snapshots (explicit
     /// [`CasServer::persist_state`] still works).
     snapshot_cadence: AtomicU64,
     /// Group-commit pipe sequencing journal records.
@@ -574,7 +586,7 @@ impl CasServer {
             issuer: SingletonIssuer::new(signer_key, identity),
             attestation_root,
             store,
-            snapshot_cadence: AtomicU64::new(0),
+            snapshot_cadence: AtomicU64::new(DEFAULT_SNAPSHOT_CADENCE),
             pipe: CommitPipe::new(),
             persist_lock: parking_lot::Mutex::new(()),
             journal_mode: AtomicU8::new(JournalMode::GroupCommit.as_u8()),
@@ -770,7 +782,10 @@ impl CasServer {
 
     /// Persist the durable state automatically after every
     /// `every_events` issued grants and after every `every_events`
-    /// redeemed tokens (`0` disables the cadence). Both halves matter:
+    /// redeemed tokens. A new server starts at
+    /// [`DEFAULT_SNAPSHOT_CADENCE`]; `0` disables the cadence, and then
+    /// the journal grows until an explicit or interval persist
+    /// truncates it. Both halves matter:
     /// the grant cadence bounds how much cache warmth a crash loses,
     /// the redemption cadence bounds the token-reuse window a crash
     /// reopens (see the module docs). The write happens on the compute
@@ -2227,6 +2242,72 @@ mod tests {
         // The persisted snapshot is the real, restorable article.
         let bytes = cas.store().restore_state().unwrap().unwrap();
         sinclave::snapshot::IssuerSnapshot::from_bytes(&bytes).unwrap();
+    }
+
+    #[test]
+    fn default_snapshot_cadence_bounds_the_journal() {
+        // A server left at its defaults serves well over two cadences
+        // of grant + redeem pairs on one channel. The journal must be
+        // checkpointed and truncated as it goes, so the volume stays
+        // under a fixed size; and a crash-restart from the volume must
+        // still return every acked token state.
+        const PAIRS: u64 = 2 * DEFAULT_SNAPSHOT_CADENCE + 60;
+        const OUTSTANDING: u64 = 20;
+        const MAX_VOLUME_BYTES: usize = 96 << 10;
+        let store_key = AeadKey::new([13; 32]);
+        let (cas, signer_key) = server_with_store(47, CasStore::create(store_key.clone()));
+        let layout = EnclaveLayout::for_program(b"bounded", 2).unwrap();
+        let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
+        let request = Message::GrantRequest {
+            common_sigstruct: signed.common_sigstruct.to_bytes(),
+            base_hash: signed.base_hash.encode().to_vec(),
+        }
+        .to_bytes();
+        let network = Network::new();
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 470);
+        let mut chan = SecureChannel::client_connect(
+            network.connect("cas:443").unwrap(),
+            &mut StdRng::seed_from_u64(471),
+        )
+        .unwrap();
+        let (mut redeemed, mut outstanding) = (Vec::new(), Vec::new());
+        let (mut max_bytes, mut max_epochs) = (0, 0);
+        for i in 0..PAIRS {
+            chan.send(&request).unwrap();
+            let Message::GrantResponse { token, sigstruct, .. } =
+                Message::from_bytes(&chan.recv().unwrap()).unwrap()
+            else {
+                panic!("grant {i} denied");
+            };
+            let mrenclave = SigStruct::from_bytes(&sigstruct).unwrap().body().enclave_hash;
+            if i < PAIRS - OUTSTANDING {
+                cas.redeem_token(&token, &mrenclave).unwrap();
+                redeemed.push((token, mrenclave));
+            } else {
+                outstanding.push((token, mrenclave));
+            }
+            if i % 16 == 15 {
+                max_bytes = max_bytes.max(cas.store().volume().size_on_disk());
+                max_epochs = max_epochs.max(cas.store().journal_epoch_count().unwrap());
+            }
+        }
+        drop(chan);
+        handle.join().unwrap();
+        assert!(cas.stats.snapshot_persisted.load(Ordering::Relaxed) >= 4);
+        assert!(max_bytes < MAX_VOLUME_BYTES, "volume grew to {max_bytes} bytes");
+        assert!(max_epochs <= 2, "{max_epochs} journal epochs on the volume");
+
+        let image = cas.store().volume().to_disk_image();
+        let volume = sinclave_fs::Volume::from_disk_image(&image).unwrap();
+        let (restarted, _) = server_with_store(47, CasStore::open(volume, store_key).unwrap());
+        assert_eq!(restarted.issuer().outstanding_tokens(), OUTSTANDING as usize);
+        for (token, mrenclave) in &redeemed {
+            assert!(restarted.redeem_token(token, mrenclave).is_err(), "acked redemption replayed");
+        }
+        for (token, mrenclave) in &outstanding {
+            restarted.redeem_token(token, mrenclave).expect("acked grant lost");
+            assert!(restarted.redeem_token(token, mrenclave).is_err());
+        }
     }
 
     #[test]

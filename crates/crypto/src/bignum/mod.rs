@@ -12,9 +12,20 @@
 //! ergonomics where allocation is unavoidable anyway.
 
 mod div;
+mod ifma;
 mod modular;
 
+#[cfg(test)]
+pub(crate) use ifma::to_radix52;
 pub use modular::Montgomery;
+
+/// Whether [`Montgomery::pow`] runs on the AVX-512 IFMA kernel on this
+/// CPU (`avx512f` and `avx512ifma`, detected once), for moduli of up to
+/// 3,326 bits. Elsewhere every exponentiation takes the portable path.
+#[must_use]
+pub fn ifma_available() -> bool {
+    ifma::available()
+}
 
 use crate::error::CryptoError;
 use std::cmp::Ordering;

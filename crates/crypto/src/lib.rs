@@ -43,9 +43,10 @@
 //! assert_ne!(digest.as_bytes(), &[0u8; 32]);
 //! ```
 
-// `deny` rather than `forbid`: the SHA-NI compression core in
-// `sha256::shani` is the one allowed `unsafe` island (CPU intrinsics),
-// gated behind runtime feature detection.
+// `deny` rather than `forbid`: two modules are allowed `unsafe`
+// islands of CPU intrinsics, each gated behind runtime feature
+// detection — the SHA-NI compression core in `sha256::shani` and the
+// AVX-512 IFMA Montgomery kernel in `bignum/ifma.rs`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

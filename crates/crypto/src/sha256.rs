@@ -419,8 +419,9 @@ mod shani {
     //! vectors roll through the 64 rounds, and the run loop keeps the
     //! repacked state in registers across blocks.
     //!
-    //! This is the one `unsafe` island in the crate (the crate is
-    //! otherwise `#![deny(unsafe_code)]`): the intrinsics require it.
+    //! This is one of the crate's two `unsafe` islands, beside the
+    //! IFMA bignum kernel (the crate is otherwise
+    //! `#![deny(unsafe_code)]`): the intrinsics require it.
     //! Callers must guarantee the `sha`, `ssse3` and `sse4.1` CPU
     //! features, which [`super::Backend`] checks before dispatching.
 

@@ -914,3 +914,71 @@ proptest! {
         prop_assert!(IssuerSnapshot::from_bytes(&padded).is_err());
     }
 }
+
+#[test]
+fn primary_checkpoints_on_the_default_cadence_while_streaming() {
+    // A default-configured primary serves one cadence of grants on one
+    // channel while a follower streams its journal. The cadence-hit
+    // persist rotates, checkpoints and truncates the primary's journal
+    // mid-stream; the follower replays the checkpoint record like any
+    // other, never checkpoints itself, and ends with the primary's
+    // token states.
+    use sinclave_repro::cas::server::DEFAULT_SNAPSHOT_CADENCE;
+    use sinclave_repro::cas::{follow, serve_replication};
+    use sinclave_repro::net::Backoff;
+    use std::time::{Duration, Instant};
+
+    let grants = DEFAULT_SNAPSHOT_CADENCE + 4;
+    let w = world(0xca5e);
+    let _repl = serve_replication(&w.cas, &w.network, common::REPL_ADDR, 2, 0x51);
+    let follower = w.new_replica();
+    let backoff = Backoff::new(Duration::from_millis(2), Duration::from_millis(20));
+    let pump = follow(follower.clone(), w.network.clone(), common::REPL_ADDR.into(), 0x52, backoff);
+    let caught_up = |what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while follower.journal_sequence() != w.cas.journal_sequence() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    caught_up("baseline adoption");
+
+    let handle = w.serve_cas(1, 0x53);
+    let conn = w.network.connect(CAS_ADDR).expect("connect");
+    let mut chan = SecureChannel::client_connect(conn, &mut StdRng::seed_from_u64(0x54)).unwrap();
+    let request = Message::GrantRequest {
+        common_sigstruct: w.packaged.signed.common_sigstruct.to_bytes(),
+        base_hash: w.packaged.signed.base_hash.encode().to_vec(),
+    }
+    .to_bytes();
+    let mut tokens = Vec::new();
+    for _ in 0..grants {
+        chan.send(&request).expect("send");
+        let Message::GrantResponse { token, sigstruct, .. } =
+            Message::from_bytes(&chan.recv().expect("recv")).expect("decode")
+        else {
+            panic!("grant denied");
+        };
+        let sigstruct = SigStruct::from_bytes(&sigstruct).expect("sigstruct");
+        tokens.push((token, sigstruct.body().enclave_hash));
+    }
+    drop(chan);
+    handle.join().expect("serve");
+    for (token, expected) in &tokens[..4] {
+        w.cas.redeem_token(token, expected).expect("redeem");
+    }
+    caught_up("live replay");
+    pump.stop();
+
+    assert_eq!(w.cas.stats.snapshot().snapshot_persisted, 1, "the cadence hit once");
+    assert_eq!(w.cas.store().journal_epoch_count().unwrap(), 1, "retired epochs truncated");
+    assert_eq!(follower.stats.snapshot().snapshot_persisted, 0, "a follower never checkpoints");
+    assert_eq!(follower.restore_generation(), w.cas.restore_generation());
+    assert_eq!(follower.issuer().outstanding_tokens(), grants as usize - 4);
+    assert_eq!(follower.issuer().redeemed_tombstones(), 4);
+    for (token, expected) in &tokens[..4] {
+        assert!(follower.redeem_token(token, expected).is_err(), "acked redemption replayed");
+    }
+    let (token, expected) = &tokens[4];
+    follower.redeem_token(token, expected).expect("streamed grant redeemable");
+}
