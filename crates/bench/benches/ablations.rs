@@ -29,7 +29,12 @@
 //!    (the backend is printed), otherwise the portable `mont_sqr` fast
 //!    path — against the portable general-multiplier-only code, after
 //!    asserting both give identical results and the signature
-//!    verifies.
+//!    verifies. On IFMA hosts it also measures two 1536-bit
+//!    exponentiations interleaved on the two-stream kernel
+//!    (`pow-pair-1536`, how a CRT private-key operation runs there)
+//!    against the same two one after the other
+//!    (`pow-1536-x2-sequential`), after asserting the pair equals the
+//!    mul-only reference.
 //! 6. **Vectored grant issue.** `ablation/batch-issue` compares N
 //!    sequential `issue` calls against one `issue_batch(N)`, which
 //!    validates once and fans the on-demand signatures out over a
@@ -259,20 +264,36 @@ fn bench_mont_sqr(c: &mut Criterion) {
     let key = RsaPrivateKey::generate(&mut rng, 3072).expect("keygen");
     let digest = sha256::digest(b"on-demand sigstruct body");
     // Correctness gate before timing anything, and the release-mode
-    // check of RSA-3072 signing: the concurrent CRT halves on the
-    // detected backend match the portable general-multiplier
+    // check of RSA-3072 signing: the CRT halves on the detected
+    // backend (both on the two-stream IFMA kernel, or concurrently on
+    // the portable one) match the portable general-multiplier
     // reference byte for byte, and the signature verifies.
     let signature = key.sign_digest(&digest).expect("sign");
     assert_eq!(signature, key.sign_digest_mul_only(&digest).expect("sign"));
     key.public_key().verify_digest(&digest, &signature).expect("signature verifies");
-    // The same gate for one exponentiation at CRT-half width.
-    let mut modulus = Uint::from_be_bytes(&hash_buffer(192));
-    modulus.set_bit(1535);
-    modulus.set_bit(0);
-    let mont = Montgomery::new(&modulus).expect("odd modulus");
-    let (base, exponent) =
-        (Uint::from_be_bytes(&hash_buffer(200)), Uint::from_be_bytes(&hash_buffer(191)));
-    assert_eq!(mont.pow(&base, &exponent), mont.pow_mul_only(&base, &exponent));
+    // The same gate for exponentiations at CRT-half width: one alone,
+    // and two moduli with different exponents on the two-stream kernel.
+    let half_width = |seed: usize| {
+        let mut modulus = Uint::from_be_bytes(&hash_buffer(192 + seed)[seed..]);
+        modulus.set_bit(1535);
+        modulus.set_bit(0);
+        Montgomery::new(&modulus).expect("odd modulus")
+    };
+    let (mont, other) = (half_width(0), half_width(1));
+    let (base, exponent, other_exponent) = (
+        Uint::from_be_bytes(&hash_buffer(200)),
+        Uint::from_be_bytes(&hash_buffer(191)),
+        Uint::from_be_bytes(&hash_buffer(190)),
+    );
+    let reference = mont.pow_mul_only(&base, &exponent);
+    assert_eq!(mont.pow(&base, &exponent), reference);
+    let pair = mont.pow_pair(&other, [&base, &base], [&exponent, &other_exponent]);
+    if bignum::ifma_available() {
+        let other_reference = other.pow_mul_only(&base, &other_exponent);
+        assert_eq!(pair, Some((reference, other_reference)), "two-stream kernel");
+    } else {
+        assert_eq!(pair, None, "no two-stream kernel without IFMA");
+    }
     let mut group = c.benchmark_group("ablation/mont-sqr");
     group.sample_size(20);
     group.bench_function("sign-3072-mont-sqr", |b| {
@@ -286,6 +307,16 @@ fn bench_mont_sqr(c: &mut Criterion) {
     });
     group.bench_function("pow-1536-mul-only", |b| {
         b.iter(|| mont.pow_mul_only(&base, &exponent));
+    });
+    // Two CRT-half exponentiations on one thread: interleaved on the
+    // two-stream kernel (IFMA hosts only), against one after the other.
+    if bignum::ifma_available() {
+        group.bench_function("pow-pair-1536", |b| {
+            b.iter(|| mont.pow_pair(&other, [&base, &base], [&exponent, &other_exponent]));
+        });
+    }
+    group.bench_function("pow-1536-x2-sequential", |b| {
+        b.iter(|| (mont.pow(&base, &exponent), other.pow(&base, &other_exponent)));
     });
     group.finish();
 }

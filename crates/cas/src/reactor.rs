@@ -682,11 +682,11 @@ fn step_conn(
             let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
             // Handshake flights stay on the loop, KEM decapsulation
             // included. That is not free: a CRT decapsulation under an
-            // RSA-1024 channel key costs ≈0.13–0.15 ms on a 2-vCPU
-            // x86-64 host with AVX-512 IFMA and its two halves on two
-            // threads (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.26 ms
-            // on the portable kernel), during which this loop's other
-            // connections wait.
+            // RSA-1024 channel key costs ≈0.12 ms on a 2-vCPU x86-64
+            // host with AVX-512 IFMA, both halves on this thread
+            // (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.26 ms on the
+            // portable kernel, which offers one half to a helper
+            // thread), during which this loop's other connections wait.
             match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
                 Ok(None) => Step::Continue,
                 Ok(Some(channel)) => {

@@ -1,4 +1,11 @@
-//! Fork-join for the two halves of a CRT private-key operation.
+//! Fork-join for the two halves of a CRT private-key operation on the
+//! portable kernel.
+//!
+//! Where the CPU has AVX-512 IFMA, a private-key operation runs both
+//! halves on the calling thread on the two-stream kernel
+//! ([`crate::bignum::Montgomery::pow_pair`]) and never comes here, so
+//! no helper is started. What remains are CPUs without IFMA and the
+//! mul-only reference path (`RsaPrivateKey::sign_digest_mul_only`).
 //!
 //! [`join`] offers the second half to long-lived helper threads, one
 //! per core beyond the first, while the calling thread computes the

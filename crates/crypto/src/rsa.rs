@@ -12,11 +12,8 @@
 //! quoting-enclave and attestation-root keys), one SinClave start
 //! performs:
 //!
-//! * **Private-key operations** — all CRT, through one helper that
-//!   runs the two half-width exponentiations on two threads: the
-//!   calling thread takes the p half while one of the crate's
-//!   long-lived helper threads takes the q half, unless the caller
-//!   finishes first and takes it back.
+//! * **Private-key operations** — all CRT: two half-width
+//!   exponentiations recombined by Garner's formula.
 //!   - CAS, compute pool worker: one RSA-3072 signature over the
 //!     on-demand singleton SigStruct.
 //!   - CAS, reactor event loop: two RSA-1024 KEM decapsulations, one
@@ -24,15 +21,20 @@
 //!   - Starter host, quoting enclave: one RSA-1024 signature over the
 //!     quote.
 //!
-//!   Each operation's wall time is about one half's cost on an idle
-//!   two-core host, and approaches the sequential cost of both halves
-//!   when every core is busy. Each half is one [`Montgomery::pow`], which
-//!   runs on the AVX-512 IFMA kernel where the CPU has it: a 1536-bit
-//!   half of an RSA-3072 signature then costs ≈0.7 ms on an idle
-//!   2-vCPU Sapphire Rapids host instead of ≈3.5–3.8 ms on the
-//!   portable kernel, and the signature ≈0.75 ms
-//!   (`ablation/mont-sqr`). Miller–Rabin rounds in key generation take
-//!   the same path.
+//!   Where the CPU has AVX-512 IFMA, both halves run on the calling
+//!   thread on the two-stream IFMA kernel ([`Montgomery::pow_pair`]),
+//!   which interleaves them: an RSA-3072 signature costs ≈0.8–0.9 ms
+//!   on a 2-vCPU Sapphire Rapids host, whether or not the other vCPU
+//!   is busy, and an RSA-1024 decapsulation ≈0.11–0.12 ms
+//!   (`ablation/mont-sqr`, `ablation/rsa-crt`). Running the halves on
+//!   two threads instead gains nothing on that host whenever its two
+//!   vCPUs share one core, which they intermittently do. Elsewhere each half
+//!   is one portable [`Montgomery::pow`] (≈3.5–3.8 ms per 1536-bit
+//!   half): the calling thread takes the p half while one of the
+//!   crate's long-lived helper threads takes the q half, unless the
+//!   caller finishes first and takes it back. Miller–Rabin rounds in
+//!   key generation run single-stream [`Montgomery::pow`], on IFMA
+//!   where the CPU has it.
 //! * **Public-key operations** (exponent 65537) also run on the IFMA
 //!   kernel where it is available; the first one on a freshly parsed
 //!   key also builds the kernel's constants (two divisions). Per
@@ -65,6 +67,10 @@ use std::sync::Arc;
 
 /// The public exponent used by all keys in this crate: F4 = 65537.
 pub const PUBLIC_EXPONENT: u64 = 65_537;
+
+/// The widest modulus [`RsaPublicKey::new`] accepts, in bits: RSA-4096,
+/// one size above the paper's RSA-3072.
+pub const MAX_MODULUS_BITS: usize = 4096;
 
 /// DER-encoded `DigestInfo` prefix for SHA-256 (RFC 8017 §9.2 note 1).
 const SHA256_DIGEST_INFO: &[u8] = &[
@@ -103,14 +109,24 @@ impl RsaPublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidKey`] for an even/tiny modulus or
-    /// an exponent smaller than 3.
+    /// Returns [`CryptoError::InvalidKey`] for an even modulus, a
+    /// modulus outside 512–4096 bits, or an exponent smaller than 3 or
+    /// wider than 64 bits. The bounds come first: the modulus is
+    /// attacker-supplied where a CAS parses a grant's SigStruct, and
+    /// building the context of an unbounded one would take as long as
+    /// the sender likes (≈0.4 s at 64 KB).
     pub fn new(n: Uint, e: Uint) -> Result<Self, CryptoError> {
         if n.bit_len() < 512 {
             return Err(CryptoError::InvalidKey { context: "modulus below 512 bits" });
         }
+        if n.bit_len() > MAX_MODULUS_BITS {
+            return Err(CryptoError::InvalidKey { context: "modulus above 4096 bits" });
+        }
         if e < Uint::from_u64(3) {
             return Err(CryptoError::InvalidKey { context: "public exponent below 3" });
+        }
+        if e.bit_len() > 64 {
+            return Err(CryptoError::InvalidKey { context: "public exponent above 64 bits" });
         }
         let mont = Montgomery::new(&n)?;
         Ok(RsaPublicKey { n, e, mont: Arc::new(mont) })
@@ -349,26 +365,33 @@ impl RsaPrivateKey {
     /// `use_sqr = false` selects the general multiplier for squarings
     /// (the `*_mul_only` ablation baseline only).
     ///
-    /// The two halves are independent, so the q half is offered to a
-    /// helper thread while the calling thread runs the p half (see
-    /// [`crate::join`]). If no helper has started it by then, the
-    /// caller runs the q half itself, with the same result; a panic in
-    /// the helper resumes on the caller.
+    /// Where both prime contexts have IFMA kernels of one width, the
+    /// two halves run together on the calling thread
+    /// ([`Montgomery::pow_pair`]). Otherwise, and always on the
+    /// mul-only path, the q half is offered to a helper thread while
+    /// the calling thread runs the p half (see [`crate::join`]). If no
+    /// helper has started it by then, the caller runs the q half
+    /// itself, with the same result; a panic in the helper resumes on
+    /// the caller.
     fn private_pow(&self, x: &Uint, use_sqr: bool) -> Uint {
         // CRT: m1 = x^dp mod p, m2 = x^dq mod q,
         //      h = q_inv (m1 - m2) mod p, s = m2 + h q.
-        let half = move |mont: &Montgomery, exp: &Uint, x: &Uint| {
-            if use_sqr {
-                mont.pow(x, exp)
-            } else {
-                mont.pow_mul_only(x, exp)
-            }
+        let pair = if use_sqr {
+            self.mont_p.pow_pair(&self.mont_q, [x, x], [&self.dp, &self.dq])
+        } else {
+            None
         };
-        let (mont_q, dq, base) = (Arc::clone(&self.mont_q), Arc::clone(&self.dq), x.clone());
-        let (m1, m2) = crate::join::join(
-            || half(&self.mont_p, &self.dp, x),
-            move || half(&mont_q, &dq, &base),
-        );
+        let (m1, m2) = pair.unwrap_or_else(|| {
+            let half = move |mont: &Montgomery, exp: &Uint, x: &Uint| {
+                if use_sqr {
+                    mont.pow(x, exp)
+                } else {
+                    mont.pow_mul_only(x, exp)
+                }
+            };
+            let (mont_q, dq, base) = (Arc::clone(&self.mont_q), Arc::clone(&self.dq), x.clone());
+            crate::join::join(|| half(&self.mont_p, &self.dp, x), move || half(&mont_q, &dq, &base))
+        });
         let diff = if m1 >= m2 {
             m1.checked_sub(&m2).expect("m1 >= m2")
         } else {
@@ -532,6 +555,42 @@ mod tests {
         assert!(RsaPublicKey::from_bytes(&bytes).is_err());
     }
 
+    /// The serialized public key with modulus `n` and exponent 65537.
+    fn key_bytes(n: &Uint) -> Vec<u8> {
+        let n = n.to_be_bytes();
+        let mut bytes = (n.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&n);
+        bytes.extend_from_slice(&3u32.to_be_bytes());
+        bytes.extend_from_slice(&[1, 0, 1]);
+        bytes
+    }
+
+    #[test]
+    fn public_key_size_is_bounded_at_decode() {
+        let odd_of_bits = |bits: usize| Uint::one().shl(bits - 1).add_ref(&Uint::from_u64(0xabcd));
+        let widest = RsaPublicKey::from_bytes(&key_bytes(&odd_of_bits(MAX_MODULUS_BITS))).unwrap();
+        assert_eq!(widest.modulus().bit_len(), 4096);
+        assert_eq!(
+            RsaPublicKey::from_bytes(&key_bytes(&odd_of_bits(MAX_MODULUS_BITS + 1))),
+            Err(CryptoError::InvalidKey { context: "modulus above 4096 bits" })
+        );
+        // A 64 KB modulus is refused before its context is built, which
+        // would take ≈0.4 s even optimised.
+        let huge = key_bytes(&odd_of_bits(64 * 1024 * 8));
+        let started = std::time::Instant::now();
+        let parsed = RsaPublicKey::from_bytes(&huge);
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, Err(CryptoError::InvalidKey { context: "modulus above 4096 bits" }));
+        assert!(elapsed < std::time::Duration::from_millis(100), "{elapsed:?}");
+
+        let n = odd_of_bits(1024);
+        assert!(RsaPublicKey::new(n.clone(), Uint::from_u64(u64::MAX)).is_ok());
+        assert_eq!(
+            RsaPublicKey::new(n, Uint::one().shl(64).add_ref(&Uint::one())),
+            Err(CryptoError::InvalidKey { context: "public exponent above 64 bits" })
+        );
+    }
+
     #[test]
     fn fingerprints_are_distinct_per_key() {
         assert_ne!(
@@ -617,10 +676,12 @@ mod tests {
     #[test]
     fn crt_decapsulation_matches_full_width_reference() {
         // The pre-CRT private-key operation: one full-width
-        // exponentiation by d. Both concurrent halves must recombine
-        // to it at the channel-key width and at a width whose halves
-        // are 1024 bits.
-        for (seed, bits) in [(40, 1024), (42, 2048)] {
+        // exponentiation by d. Both halves, on the two-stream kernel
+        // where the CPU has IFMA, must recombine to it at the
+        // channel-key width, at the signer-key width, and at a width
+        // whose halves are 1024 bits. RSA-3072 takes ≈11 s to generate
+        // unoptimised, so it gets fewer random ciphertexts.
+        for (seed, bits, random) in [(40, 1024, 8), (42, 2048, 8), (46, 3072, 1)] {
             let key = test_key_bits(seed, bits);
             let n = key.public_key().modulus();
             let len = key.public_key().modulus_len();
@@ -639,7 +700,7 @@ mod tests {
             ];
             let mut rng = StdRng::seed_from_u64(seed + 1);
             let above_n = Uint::one().shl(8 * len).checked_sub(n).unwrap();
-            for _ in 0..8 {
+            for _ in 0..random {
                 cases.push(crate::rng::uint_below(&mut rng, n));
                 cases.push(n.add_ref(&crate::rng::uint_below(&mut rng, &above_n)));
             }

@@ -188,6 +188,50 @@ fn open_breaker_sheds_journaling_requests_but_not_pings() {
 }
 
 #[test]
+fn grant_with_an_oversized_sigstruct_key_is_denied_as_malformed() {
+    let world = world(68);
+    let cas = world.serve_cas(1, 7800);
+    // The genuine common SigStruct with its signer key swapped for one
+    // whose modulus is 64 KB: the CAS decodes a grant's SigStruct on
+    // the event loop, before admission, and building that key's
+    // Montgomery context would hold the loop for ≈0.4 s.
+    let genuine = world.packaged.signed.common_sigstruct.to_bytes();
+    let field =
+        |at: usize| 4 + u32::from_be_bytes(genuine[at..at + 4].try_into().unwrap()) as usize;
+    let key_at = field(0);
+    let signature_at = key_at + field(key_at);
+    let mut modulus = vec![0u8; 64 * 1024];
+    modulus[0] = 0x80;
+    modulus[64 * 1024 - 1] = 1;
+    let mut sigstruct = genuine[..key_at].to_vec();
+    sigstruct.extend_from_slice(&(8 + modulus.len() as u32 + 3).to_be_bytes());
+    sigstruct.extend_from_slice(&(modulus.len() as u32).to_be_bytes());
+    sigstruct.extend_from_slice(&modulus);
+    sigstruct.extend_from_slice(&3u32.to_be_bytes());
+    sigstruct.extend_from_slice(&[1, 0, 1]);
+    sigstruct.extend_from_slice(&genuine[signature_at..]);
+
+    let outstanding = world.cas.issuer().outstanding_tokens();
+    let conn = world.network.connect(CAS_ADDR).expect("connect");
+    let mut rng = StdRng::seed_from_u64(7900);
+    let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
+    chan.send(
+        &Message::GrantRequest {
+            common_sigstruct: sigstruct,
+            base_hash: world.packaged.signed.base_hash.encode().to_vec(),
+        }
+        .to_bytes(),
+    )
+    .expect("send");
+    let reply = Message::from_bytes(&chan.recv().expect("recv")).expect("decode");
+    assert_eq!(reply, Message::Denied { reason: "sigstruct malformed".into() });
+    drop(chan);
+    cas.join().expect("reactor");
+    assert_eq!(world.cas.issuer().outstanding_tokens(), outstanding);
+    assert_eq!(world.cas.stats.snapshot().grants_issued, 0);
+}
+
+#[test]
 fn panic_isolation_contains_a_poisoned_dispatch() {
     let world = world(66);
     world
