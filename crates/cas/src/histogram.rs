@@ -187,23 +187,18 @@ pub struct StageHistograms {
     pub journal_flush: Histogram,
     /// End-to-end request latency: raw frame received → reply written.
     pub request: Histogram,
-    /// Dedup-cache replays: time to look up and decode a cached reply.
-    /// Kept as its own stage so retry storms served from the cache
-    /// don't silently skew the end-to-end p50 low without attribution.
-    pub dedup_replay: Histogram,
 }
 
 impl StageHistograms {
     /// The stages as `(name, histogram)` pairs, in reporting order.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, &Histogram); 6] {
+    pub fn named(&self) -> [(&'static str, &Histogram); 5] {
         [
             ("verify", &self.verify),
             ("sign", &self.sign),
             ("seal", &self.seal),
             ("journal_flush", &self.journal_flush),
             ("request", &self.request),
-            ("dedup_replay", &self.dedup_replay),
         ]
     }
 }

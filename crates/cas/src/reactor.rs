@@ -333,7 +333,7 @@ fn run_job(
     if let Some(active) = active {
         trace::install(active);
     }
-    let Some(reply) = server.dispatch_deduped(
+    let Some(reply) = server.dispatch_admitted(
         chain,
         request,
         &mut session.outstanding_nonce,

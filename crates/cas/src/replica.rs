@@ -379,10 +379,10 @@ fn serve_forwarder(
 }
 
 /// Dispatches one forwarded write on the primary. Forwarded grants go
-/// through the full admission + dedup + dispatch path (so rate
-/// limits, quotas, the breaker and idempotent retry all hold at the
-/// primary no matter which replica a client talked to); redemptions
-/// go straight to the durable exactly-once path.
+/// through the full admission + dispatch path (so rate limits,
+/// quotas, panic isolation and the breaker all hold at the primary no
+/// matter which replica a client talked to); redemptions go straight
+/// to the durable exactly-once path.
 fn forward_reply(
     server: &CasServer,
     frame: ReplicationFrame,
@@ -410,7 +410,7 @@ fn forward_reply(
             let response = match server.admit(&chain, message) {
                 Err(refused) => Some(refused.to_bytes()),
                 Ok(request) => server
-                    .dispatch_deduped(&chain, request, &mut None, transcript, rng)
+                    .dispatch_admitted(&chain, request, &mut None, transcript, rng)
                     .map(|reply| reply.to_bytes()),
             };
             let spans = trace::take()

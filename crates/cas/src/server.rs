@@ -269,10 +269,6 @@ cas_counters! {
     /// Dispatch panics contained by panic isolation: the connection
     /// was closed, the serving thread survived.
     panics_isolated,
-    /// Retried grant requests answered from the request-dedup cache
-    /// (byte-identical to a recent request; the cached reply was
-    /// replayed, no second token was issued).
-    dedup_hits,
     /// Writes refused because this server's fence is outranked (a
     /// failover promoted a replica past it). Each one is a
     /// double-redemption the fencing rule prevented.
@@ -1488,30 +1484,6 @@ impl CasServer {
         Err(Message::Denied { reason: refusal.reason().into() })
     }
 
-    /// Dispatches under the panic-isolation layer: a panic anywhere in
-    /// request handling is contained ([`CasStats::panics_isolated`])
-    /// and reported as `None`, upon which the caller closes the
-    /// connection — one poisoned request cannot take down a serving
-    /// thread or an event loop.
-    pub(crate) fn dispatch_isolated(
-        &self,
-        request: Request,
-        outstanding_nonce: &mut Option<[u8; 16]>,
-        transcript: &Digest,
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Option<Message> {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch(request, outstanding_nonce, transcript, rng)
-        }));
-        match caught {
-            Ok(reply) => Some(reply),
-            Err(_) => {
-                self.stats.panics_isolated.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Test instrumentation for the panic-isolation layer: arms a
     /// one-shot panic in the next dispatched `Ping`. Hidden because it
     /// exists only so integration tests can prove a dispatch panic is
@@ -1632,12 +1604,13 @@ impl CasServer {
         }
     }
 
-    /// Dispatch wrapped in the request-dedup layer (between
-    /// admission and panic isolation; see [`crate::middleware`]): a
-    /// byte-identical retried grant replays the cached reply instead
-    /// of issuing a second token. Returns `None` on a contained
-    /// dispatch panic (the caller closes the connection).
-    pub(crate) fn dispatch_deduped(
+    /// The dispatch entry for admitted requests. When the chain
+    /// enables panic isolation (see [`crate::middleware`]), a panic
+    /// anywhere in request handling is contained
+    /// ([`CasStats::panics_isolated`]) and reported as `None`, upon
+    /// which the caller closes the connection — one poisoned request
+    /// cannot take down a serving thread or an event loop.
+    pub(crate) fn dispatch_admitted(
         &self,
         chain: &MiddlewareChain,
         request: Request,
@@ -1645,39 +1618,16 @@ impl CasServer {
         transcript: &Digest,
         rng: &mut (impl RngCore + ?Sized),
     ) -> Option<Message> {
-        // Only grants are deduplicated: they are the one request whose
-        // retry mints fresh durable state (a second token). Attested
-        // retrievals are read-mostly, and a redemption retry must be
-        // *refused*, not replayed — exactly-once is the product.
-        let key = (chain.config().dedup.is_some()
-            && matches!(request.message, Message::GrantRequest { .. }))
-        .then(|| sinclave_crypto::sha256::digest(&request.message.to_bytes()));
-        if let Some(key) = &key {
-            let replaying = Instant::now();
-            if let Some(cached) = chain.dedup_lookup(key) {
-                if let Ok(reply) = Message::from_bytes(&cached) {
-                    self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    // Replays get their own latency stage and span so
-                    // a retry storm served from the cache stays
-                    // attributable instead of silently pulling the
-                    // end-to-end p50 down.
-                    self.latency.dedup_replay.record(replaying.elapsed());
-                    trace::record_elapsed("dedup_replay", replaying.elapsed(), SpanOutcome::Ok);
-                    return Some(reply);
-                }
-            }
+        if !chain.config().isolate_panics {
+            return Some(self.dispatch(request, outstanding_nonce, transcript, rng));
         }
-        let reply = if chain.config().isolate_panics {
-            self.dispatch_isolated(request, outstanding_nonce, transcript, rng)?
-        } else {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.dispatch(request, outstanding_nonce, transcript, rng)
-        };
-        if let Some(key) = key {
-            if matches!(reply, Message::GrantResponse { .. }) {
-                chain.dedup_store(&key, reply.to_bytes());
-            }
+        }));
+        if caught.is_err() {
+            self.stats.panics_isolated.fetch_add(1, Ordering::Relaxed);
         }
-        Some(reply)
+        caught.ok()
     }
 
     pub(crate) fn dispatch(

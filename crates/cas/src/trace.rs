@@ -71,7 +71,6 @@ const KNOWN_STAGES: &[&str] = &[
     "seal",
     "journal_flush",
     "request",
-    "dedup_replay",
     "rate_limit",
     "quota",
     "breaker_shed",

@@ -244,7 +244,6 @@ impl RsaPublicKey {
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
-    d: Uint,
     p: Uint,
     q: Uint,
     dp: Uint,
@@ -304,7 +303,7 @@ impl RsaPrivateKey {
             let public = RsaPublicKey::new(n, e.clone())?;
             let mont_p = Montgomery::new(&p)?;
             let mont_q = Arc::new(Montgomery::new(&q)?);
-            return Ok(RsaPrivateKey { public, d, p, q, dp, dq, q_inv, mont_p, mont_q });
+            return Ok(RsaPrivateKey { public, p, q, dp, dq, q_inv, mont_p, mont_q });
         }
     }
 
@@ -403,7 +402,16 @@ impl RsaPrivateKey {
         let h = self.mont_p.mul(&diff, &self.q_inv);
         let s = m2.add_ref(&(&h * &self.q));
 
-        debug_assert_eq!(s, x.mod_pow(&self.d, &self.public.n), "crt consistency");
+        // CRT consistency, checked through the public exponent: `n` is
+        // squarefree and `ed ≡ 1 (mod λ(n))`, so `y ↦ y^e` is a
+        // bijection on Z_n and, as `s < n`, `s^e ≡ x` holds exactly
+        // when `s ≡ x^d` — at the cost of a public-exponent
+        // exponentiation instead of a full-width private one.
+        debug_assert_eq!(
+            self.public.mont.pow(&s, &self.public.e),
+            x.rem_ref(&self.public.n),
+            "crt consistency"
+        );
         s
     }
 }
@@ -485,6 +493,15 @@ mod tests {
     fn test_key_bits(seed: u64, bits: usize) -> RsaPrivateKey {
         let mut rng = StdRng::seed_from_u64(seed);
         RsaPrivateKey::generate(&mut rng, bits).expect("keygen")
+    }
+
+    /// The full private exponent `d = e⁻¹ mod φ(n)`. The key keeps
+    /// only its CRT halves; the full-width references exponentiate by
+    /// `d` directly.
+    fn private_exponent(key: &RsaPrivateKey) -> Uint {
+        let p1 = key.p.checked_sub(&Uint::one()).unwrap();
+        let q1 = key.q.checked_sub(&Uint::one()).unwrap();
+        key.public.e.mod_inv(&(&p1 * &q1)).unwrap()
     }
 
     #[test]
@@ -683,6 +700,7 @@ mod tests {
         // unoptimised, so it gets fewer random ciphertexts.
         for (seed, bits, random) in [(40, 1024, 8), (42, 2048, 8), (46, 3072, 1)] {
             let key = test_key_bits(seed, bits);
+            let d = private_exponent(&key);
             let n = key.public_key().modulus();
             let len = key.public_key().modulus_len();
             let mut cases = vec![
@@ -706,7 +724,7 @@ mod tests {
             }
             for c in &cases {
                 let ciphertext = c.to_be_bytes_padded(len).unwrap();
-                let reference = kem_kdf(&c.mod_pow(&key.d, n), len).unwrap();
+                let reference = kem_kdf(&c.mod_pow(&d, n), len).unwrap();
                 assert_eq!(
                     key.kem_decapsulate(&ciphertext).unwrap(),
                     reference,
@@ -717,7 +735,7 @@ mod tests {
             for message in [&b"grant"[..], b"quote"] {
                 let digest = sha256::digest(message);
                 let em = Uint::from_be_bytes(&emsa_pkcs1_v15(&digest, len).unwrap());
-                let reference = em.mod_pow(&key.d, n).to_be_bytes_padded(len).unwrap();
+                let reference = em.mod_pow(&d, n).to_be_bytes_padded(len).unwrap();
                 assert_eq!(key.sign_digest(&digest).unwrap(), reference, "{bits} bits");
             }
         }
@@ -772,7 +790,7 @@ mod tests {
         key.sign(b"warm the contexts").unwrap();
         let rendered = format!("{key:?} {key:#?}");
         assert!(rendered.contains("fingerprint"));
-        assert!(!rendered.contains(&key.d.to_hex()));
+        assert!(!rendered.contains(&private_exponent(&key).to_hex()));
         assert!(!rendered.contains(&key.p.to_hex()));
         // The CRT contexts are built over the secret primes.
         let context = format!("{:?} {:#?}", key.mont_p, key.mont_q);

@@ -9,13 +9,14 @@ use common::{World, CAS_ADDR, CONFIG_ID};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sinclave_repro::attack::starvation::{quota_abuse, SlowLoris};
-use sinclave_repro::cas::middleware::{
-    BreakerConfig, DedupConfig, MiddlewareConfig, RateLimitConfig,
-};
+use sinclave_repro::cas::middleware::{BreakerConfig, MiddlewareConfig, RateLimitConfig};
 use sinclave_repro::cas::policy::PolicyMode;
 use sinclave_repro::core::protocol::Message;
+use sinclave_repro::core::{AttestationToken, InstancePage};
 use sinclave_repro::net::SecureChannel;
+use sinclave_repro::runtime::scone::StartOptions;
 use sinclave_repro::runtime::ProgramImage;
+use sinclave_repro::sgx::PAGE_SIZE;
 use std::time::{Duration, Instant};
 
 fn world(seed: u64) -> World {
@@ -291,35 +292,37 @@ fn time_based_snapshot_tick_persists_while_idle() {
 }
 
 #[test]
-fn identical_grant_retry_is_answered_from_the_dedup_cache() {
-    let world = world(66);
-    world.cas.set_middleware(MiddlewareConfig {
-        dedup: Some(DedupConfig { capacity: 8, ttl: Duration::from_secs(60) }),
-        ..MiddlewareConfig::default()
-    });
-    let cas = world.serve_cas(2, 8800);
-    // The same client retries a grant it never saw the reply to —
-    // e.g. the response was lost in flight. The retry must be served
-    // from the dedup cache: bit-identical bytes, no second issuance.
-    let request = Message::GrantRequest {
-        common_sigstruct: world.packaged.signed.common_sigstruct.to_bytes(),
-        base_hash: world.packaged.signed.base_hash.encode().to_vec(),
-    }
-    .to_bytes();
-    let replies: Vec<Message> = (0..2u64)
+fn hardened_chain_grants_every_start_of_one_binary_its_own_token() {
+    // Freshness: every start of a singleton gets its own token. The
+    // grant requests of one binary are byte-identical (the common
+    // SigStruct and base hash), so nothing on the serving path may
+    // answer a later start from an earlier start's reply — that reply
+    // carries a token the earlier start already redeemed.
+    let world = world(69);
+    world.cas.set_middleware(MiddlewareConfig::hardened());
+    let runs = 3;
+    let cas = world.serve_cas(2 * runs, 8800); // grant + attest per start
+    let offset = world.packaged.signed.layout.instance_page_offset();
+    let starts: Vec<Result<AttestationToken, String>> = (0..runs)
         .map(|i| {
-            let conn = world.network.connect(CAS_ADDR).expect("connect");
-            let mut rng = StdRng::seed_from_u64(8900 + i);
-            let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
-            chan.send(&request).expect("send");
-            Message::from_bytes(&chan.recv().expect("recv")).expect("decode")
+            let opts = StartOptions::new(CAS_ADDR, CONFIG_ID).with_seed(8900 + i as u64);
+            let app =
+                world.host.start_sinclave(&world.packaged, &opts).map_err(|e| e.to_string())?;
+            let page = app.enclave.read(offset, PAGE_SIZE).expect("instance page");
+            let page = InstancePage::parse(&page.try_into().expect("page size"))
+                .expect("parse")
+                .expect("singleton page");
+            Ok(page.token)
         })
         .collect();
     cas.join().expect("serve");
 
-    assert!(matches!(replies[0], Message::GrantResponse { .. }), "got {:?}", replies[0]);
-    assert_eq!(replies[0], replies[1], "retry must replay the cached reply, not mint anew");
+    let Ok(tokens) = starts.iter().cloned().collect::<Result<Vec<_>, _>>() else {
+        panic!("every start must succeed: {starts:?}");
+    };
+    let distinct: std::collections::HashSet<_> = tokens.iter().collect();
+    assert_eq!(distinct.len(), runs, "starts shared a token");
     let stats = world.cas.stats.snapshot();
-    assert_eq!(stats.dedup_hits, 1);
-    assert_eq!(stats.grants_issued, 1);
+    assert_eq!(stats.grants_issued, runs as u64);
+    assert_eq!(stats.tokens_redeemed, runs as u64);
 }

@@ -17,7 +17,7 @@ mod common;
 use common::{World, CAS_ADDR, REPL_ADDR, STORE_KEY};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sinclave_repro::cas::middleware::{DedupConfig, MiddlewareConfig};
+use sinclave_repro::cas::middleware::MiddlewareConfig;
 use sinclave_repro::cas::store::CasStore;
 use sinclave_repro::cas::{follow, serve_replication, CasServer, ForwardLink};
 use sinclave_repro::core::journal_record::{decode_batch, encode_batch, SequencedRecord};
@@ -389,7 +389,7 @@ fn tampered_stream_frame_drops_the_session_not_the_state() {
 #[test]
 fn follower_serves_clients_and_linearizes_writes_through_primary() {
     // A client talks only to the follower: the grant request forwards
-    // whole to the primary (admission and dedup run there), the reply
+    // whole to the primary (admission runs there), the reply
     // relays verbatim, and the committed record streams back to the
     // follower. Reads scale out; writes stay linearized.
     let w = world(0x4f0c);
@@ -415,16 +415,13 @@ fn follower_serves_clients_and_linearizes_writes_through_primary() {
 }
 
 #[test]
-fn retried_forwarded_grant_hits_primary_dedup_once() {
-    // Satellite: idempotent retry. The same grant request arriving
-    // twice (a client retrying through a follower after a lost reply)
-    // must be answered from the primary's dedup cache — bit-identical
-    // bytes, a single journal append, a single issued token.
+fn repeated_forwarded_grants_each_mint_a_fresh_token_on_a_hardened_primary() {
+    // Two grant attempts for one binary arrive through a follower with
+    // byte-identical request bodies. Each is a separate start that
+    // needs its own token, so the hardened primary must issue and
+    // journal both instead of replaying the first reply.
     let w = world(0xded);
-    w.cas.set_middleware(MiddlewareConfig {
-        dedup: Some(DedupConfig { capacity: 8, ttl: Duration::from_secs(60) }),
-        ..MiddlewareConfig::default()
-    });
+    w.cas.set_middleware(MiddlewareConfig::hardened());
     let _repl = serve_replication(&w.cas, &w.network, REPL_ADDR, 8, 0x80);
     let follower = w.new_replica();
     let pin = w.channel_key.public_key().fingerprint();
@@ -434,10 +431,13 @@ fn retried_forwarded_grant_hits_primary_dedup_once() {
     let first = grant_attempt(&w, FOLLOWER_ADDR, 80);
     let second = grant_attempt(&w, FOLLOWER_ADDR, 81);
     serving.join().expect("serve");
-    assert_eq!(first.to_bytes(), second.to_bytes(), "retried grant not idempotent");
-    assert_eq!(w.cas.stats.snapshot().dedup_hits, 1);
-    assert_eq!(w.cas.stats.snapshot().grants_issued, 1);
-    assert_eq!(w.cas.journal_sequence(), 1, "retry appended a second journal record");
+    let token = |reply: &Message| match reply {
+        Message::GrantResponse { token, .. } => *token,
+        other => panic!("grant refused: {other:?}"),
+    };
+    assert_ne!(token(&first), token(&second), "second start got the first start's token");
+    assert_eq!(w.cas.stats.snapshot().grants_issued, 2);
+    assert_eq!(w.cas.journal_sequence(), 2, "each grant appends its own journal record");
     assert_eq!(follower.stats.snapshot().forwarded_writes, 2);
 }
 

@@ -9,8 +9,7 @@
 //! queue leg included) nesting inside the end-to-end span,
 //! tail-sampling pins for shed requests, and the operability
 //! satellites (status views served from a follower and from a fenced
-//! / promoted node without touching the journal, `dedup_replay`
-//! latency, uptime + build info).
+//! / promoted node without touching the journal, uptime + build info).
 
 mod common;
 
@@ -18,8 +17,8 @@ use common::{World, CAS_ADDR, REPL_ADDR, STATUS_ADDR};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sinclave_repro::cas::{
-    follow, serve_replication, serve_status, status_body, CasServer, CompletedTrace, DedupConfig,
-    ForwardLink, MiddlewareConfig, PinReason, RateLimitConfig, SpanOutcome,
+    follow, serve_replication, serve_status, status_body, CasServer, CompletedTrace, ForwardLink,
+    MiddlewareConfig, PinReason, RateLimitConfig, SpanOutcome,
 };
 use sinclave_repro::core::protocol::Message;
 use sinclave_repro::net::{Backoff, Network, SecureChannel};
@@ -275,42 +274,6 @@ fn shed_requests_are_pinned_even_with_sampling_off() {
         "no refused rate_limit span: {:?}",
         pinned.spans()
     );
-}
-
-#[test]
-fn dedup_replay_lands_in_its_own_histogram_and_span() {
-    // Satellite: a cached dedup replay is its own latency population.
-    // The second identical grant must be answered from the dedup
-    // cache, recording one `dedup_replay` histogram sample and a
-    // `dedup_replay` span on its trace.
-    let w = world(0x7a50);
-    w.cas.set_middleware(MiddlewareConfig {
-        dedup: Some(DedupConfig { capacity: 8, ttl: Duration::from_secs(60) }),
-        ..MiddlewareConfig::default()
-    });
-    light(&w.cas);
-    let serving = w.serve_cas(2, 0x7a51);
-    let first = grant_attempt(&w, CAS_ADDR, 5);
-    let second = grant_attempt(&w, CAS_ADDR, 6);
-    serving.join().expect("serve");
-    assert_eq!(first.to_bytes(), second.to_bytes(), "replay diverged");
-    assert_eq!(w.cas.stats.snapshot().dedup_hits, 1);
-    assert_eq!(
-        w.cas.latency().dedup_replay.view().count(),
-        1,
-        "dedup replay not recorded in its histogram"
-    );
-    let trace = trace_with_stage(&w.cas, "dedup_replay");
-    assert!(
-        trace.spans().iter().any(|s| s.stage == "dedup_replay" && s.outcome == SpanOutcome::Ok),
-        "dedup_replay span missing: {:?}",
-        trace.spans()
-    );
-    // The histograms view exposes the new stage.
-    let status = w.serve_status(1);
-    let view = w.probe_view("histograms");
-    assert!(view.contains("dedup_replay count=1"), "histograms view:\n{view}");
-    status.join().expect("status");
 }
 
 #[test]
