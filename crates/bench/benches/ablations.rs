@@ -590,14 +590,19 @@ fn bench_journal(c: &mut Criterion) {
         let mut job_txs = Vec::new();
         let (done_tx, done_rx) = mpsc::channel::<()>();
         for _ in 0..WORKERS {
-            let (job_tx, job_rx) = mpsc::channel::<Vec<AttestationToken>>();
+            // A job is a chunk of tokens and whether each redemption
+            // is followed by its own snapshot.
+            let (job_tx, job_rx) = mpsc::channel::<(Vec<AttestationToken>, bool)>();
             job_txs.push(job_tx);
             let cas: Arc<CasServer> = cas.clone();
             let done = done_tx.clone();
             scope.spawn(move || {
-                for job in job_rx {
+                for (job, snapshot_per_event) in job_rx {
                     for token in job {
                         cas.redeem_token(&token, &expected).expect("redeem");
+                        if snapshot_per_event {
+                            cas.persist_state().expect("snapshot");
+                        }
                     }
                     done.send(()).expect("done");
                 }
@@ -607,19 +612,18 @@ fn bench_journal(c: &mut Criterion) {
         let mut group = c.benchmark_group("ablation/journal");
         group.throughput(Throughput::Elements(BATCH as u64));
         group.measurement_time(std::time::Duration::from_millis(150));
-        for (name, mode, snapshot_cadence) in [
-            ("redeem-no-journal-baseline", JournalMode::Disabled, 0),
-            ("redeem-group-commit", JournalMode::GroupCommit, 0),
-            ("redeem-fsync-per-record", JournalMode::PerRecord, 0),
-            ("redeem-snapshot-per-event", JournalMode::Disabled, 1),
+        for (name, mode, snapshot_per_event) in [
+            ("redeem-no-journal-baseline", JournalMode::Disabled, false),
+            ("redeem-group-commit", JournalMode::GroupCommit, false),
+            ("redeem-fsync-per-record", JournalMode::PerRecord, false),
+            ("redeem-snapshot-per-event", JournalMode::Disabled, true),
         ] {
             cas.set_journal_mode(mode);
-            cas.set_snapshot_cadence(snapshot_cadence);
             group.bench_function(name, |b| {
                 b.iter(|| {
                     let tokens = mint(BATCH);
                     for (chunk, job_tx) in tokens.chunks(BATCH / WORKERS).zip(&job_txs) {
-                        job_tx.send(chunk.to_vec()).expect("job");
+                        job_tx.send((chunk.to_vec(), snapshot_per_event)).expect("job");
                     }
                     for _ in 0..WORKERS {
                         done_rx.recv().expect("done");

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 pub mod commit;
 pub mod histogram;
 pub mod middleware;

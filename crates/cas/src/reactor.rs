@@ -21,12 +21,14 @@
 //!   `tests/serving_golden.rs`);
 //! * the loop's **timer wheel** enforces the middleware chain's
 //!   handshake/idle deadlines (a slow-loris peer costs one table entry
-//!   until its deadline, never a thread), and loop 0 additionally
-//!   drives the time-based snapshot tick
-//!   ([`CasServer::set_snapshot_interval`]) so idle workloads still
-//!   bound the journal-replay window. With both deadlines off (the
+//!   until its deadline, never a thread). With both deadlines off (the
 //!   default chain) a silent peer is held until it hangs up or
-//!   [`CasServer::shutdown`] runs.
+//!   [`CasServer::shutdown`] runs;
+//! * a **due checkpoint** (see [`CasServer::set_snapshot_cadence`]) runs
+//!   on the compute worker that writes the next reply — normally the
+//!   one serving the request that made it due — after that reply is
+//!   written and before its session goes back to its loop; never on an
+//!   event loop.
 //!
 //! Admission control runs *on the loop*, before a request is allowed
 //! to occupy a compute slot: rate-limit and quota refusals are sealed
@@ -237,8 +239,6 @@ struct EventLoop<'a> {
     connections: usize,
     seed: u64,
     loops: usize,
-    /// Loop 0 only: last time-based snapshot tick.
-    last_snapshot_tick: Instant,
 }
 
 fn run_reactor(
@@ -307,7 +307,6 @@ fn run_reactor(
                 connections,
                 seed,
                 loops,
-                last_snapshot_tick: Instant::now(),
             };
             scope.spawn(move || event_loop.run());
         }
@@ -320,8 +319,9 @@ fn run_reactor(
 
 /// Runs one offloaded request on a compute worker: admission already
 /// passed on the loop; here the request is dispatched (under panic
-/// isolation when configured), the reply sealed and sent. Returns the
-/// session to re-enqueue, or `None` when the connection must close.
+/// isolation when configured), the reply sealed and sent, and then a
+/// checkpoint claimed before the send runs. Returns the session to
+/// re-enqueue, or `None` when the connection must close.
 fn run_job(
     server: &CasServer,
     chain: &MiddlewareChain,
@@ -351,27 +351,36 @@ fn run_job(
     if matches!(reply, Message::Denied { .. }) {
         server.stats.denials.fetch_add(1, Ordering::Relaxed);
     }
+    // Claimed before the reply leaves, so an event the client causes
+    // after reading it marks a fresh checkpoint instead of folding
+    // into this one.
+    let checkpoint = server.checkpoint.claim_due();
     let active = trace::take();
     // The trace context is echoed only when the request carried one:
     // untraced clients see the exact bytes of the untraced build.
     let echo = active.as_ref().filter(|t| t.inherited()).map(|t| t.context());
     // A send failure means the peer went away mid-request; close.
     let sealing = Instant::now();
-    if session.sender.send(&reply.to_bytes_traced(echo.as_ref())).is_err() {
-        if let Some(mut orphan) = active {
-            orphan.mark_errored();
-            server.tracer().finish(orphan);
-        }
-        return None;
+    let sent = session.sender.send(&reply.to_bytes_traced(echo.as_ref())).is_ok();
+    if sent {
+        // Sealing cost, then the full received→written span.
+        server.latency().seal.record(sealing.elapsed());
+        server.latency().request.record(received.elapsed());
     }
-    // Sealing cost, then the full received→written span.
-    server.latency().seal.record(sealing.elapsed());
-    server.latency().request.record(received.elapsed());
     if let Some(mut active) = active {
-        active.record_elapsed("seal", sealing.elapsed(), SpanOutcome::Ok);
+        if sent {
+            active.record_elapsed("seal", sealing.elapsed(), SpanOutcome::Ok);
+        } else {
+            active.mark_errored();
+        }
         server.tracer().finish(active);
     }
-    Some(session)
+    // The reply is written: the checkpoint delays this connection's
+    // next request, not this reply, and never an event loop.
+    if checkpoint {
+        let _ = server.checkpoint.run(server);
+    }
+    sent.then_some(session)
 }
 
 impl EventLoop<'_> {
@@ -391,7 +400,6 @@ impl EventLoop<'_> {
             }
             if self.id == 0 {
                 self.drain_accepts();
-                self.snapshot_tick();
             }
             self.enforce_deadlines();
             if self.done() {
@@ -416,20 +424,14 @@ impl EventLoop<'_> {
     }
 
     /// How long to park: bounded by the accept deadline (loop 0, while
-    /// accepting), the nearest handshake/idle deadline, and the
-    /// snapshot tick. An unbounded park would miss timer-only events;
-    /// everything else arrives as a readiness signal.
+    /// accepting) and the nearest handshake/idle deadline. An
+    /// unbounded park would miss timer-only events; everything else
+    /// arrives as a readiness signal.
     fn next_wait(&self) -> Duration {
         let mut wait = Duration::from_secs(60);
         if self.id == 0 && !self.accepting_done.load(Ordering::Relaxed) {
             let deadline = self.last_accept + RECV_TIMEOUT;
             wait = wait.min(deadline.saturating_duration_since(Instant::now()));
-        }
-        if self.id == 0 {
-            if let Some(interval) = self.server.snapshot_interval() {
-                let tick = self.last_snapshot_tick + interval;
-                wait = wait.min(tick.saturating_duration_since(Instant::now()));
-            }
         }
         let config = self.chain.config();
         let now = Instant::now();
@@ -587,21 +589,6 @@ impl EventLoop<'_> {
                 self.server.stats.connections_timed_out.fetch_add(1, Ordering::Relaxed);
                 self.close(token);
             }
-        }
-    }
-
-    /// Loop 0: the time-based snapshot cadence — persist when the
-    /// configured interval has passed, so an *idle* CAS still bounds
-    /// its journal-replay window (the event-count cadence only fires
-    /// under load).
-    fn snapshot_tick(&mut self) {
-        let Some(interval) = self.server.snapshot_interval() else { return };
-        if self.last_snapshot_tick.elapsed() >= interval {
-            // The discarded error is not silent: persist_state counts
-            // it and bumps the consecutive-failure gauge that flips
-            // the health verdict to Degraded within this one tick.
-            let _ = self.server.persist_state();
-            self.last_snapshot_tick = Instant::now();
         }
     }
 

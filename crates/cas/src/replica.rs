@@ -374,7 +374,14 @@ fn serve_forwarder(
                 ReplicationFrame::Denied { reason: "malformed replication frame".into() }
             }
         };
-        chan.send(&reply.to_bytes())?;
+        // Claimed before the reply leaves and run after it, as on the
+        // reactor's compute workers.
+        let checkpoint = server.checkpoint.claim_due();
+        let sent = chan.send(&reply.to_bytes());
+        if checkpoint {
+            let _ = server.checkpoint.run(server);
+        }
+        sent?;
     }
 }
 

@@ -53,25 +53,21 @@
 //! Two mechanisms share the policy store's encrypted volume:
 //!
 //! * **Snapshots** — the issuer's verified-SigStruct cache and token
-//!   table, sealed as a versioned snapshot
-//!   ([`CasServer::persist_state`], on a grant/redemption cadence —
-//!   every [`DEFAULT_SNAPSHOT_CADENCE`] events unless configured — and
-//!   at graceful shutdown) and restored at construction,
-//!   so a restarted CAS serves its first repeat grant without
-//!   re-running the ~0.4 ms RSA SigStruct verification. Snapshot
-//!   writes are skipped while the durable state is unchanged since the
-//!   last persist (a dirty-epoch check; counted in
-//!   [`CasStats::snapshot_skipped_clean`]), so read-heavy workloads
-//!   pay no volume churn.
+//!   table, sealed as a versioned snapshot by the server's one
+//!   checkpointer (`cas::checkpoint`: on a grant/redemption cadence,
+//!   after the triggering reply, and at graceful shutdown) and
+//!   restored at construction, so a restarted CAS serves its first
+//!   repeat grant without re-running the ~0.4 ms RSA SigStruct
+//!   verification. Unchanged state is never rewritten
+//!   ([`CasStats::snapshot_skipped_clean`]).
 //! * **The sealed redemption journal** — an append-only write-ahead
 //!   log of token deltas ([`sinclave::journal_record`]) under the
 //!   snapshot. Every grant and every redemption is appended **before
 //!   its reply is acknowledged**; restore replays the journal suffix
 //!   on top of the latest snapshot; each persisted snapshot writes a
 //!   checkpoint and truncates the epochs it covers, so the log stays
-//!   bounded by the cadence (with the cadence set to `0` and no
-//!   [`CasServer::set_snapshot_interval`], only explicit persists
-//!   truncate it).
+//!   bounded by the cadence (with the cadence set to `0`, only
+//!   explicit persists and shutdown truncate it).
 //!
 //! Exactly-once token redemption is therefore **crash-absolute**, not
 //! snapshot-relative: a token whose redemption was acked is never
@@ -109,6 +105,8 @@
 //! scheduling. (Which dialing peer lands on which slot follows arrival
 //! order, as it would on a real listening socket.)
 
+use crate::checkpoint::Checkpointer;
+pub use crate::checkpoint::JournalMode;
 use crate::commit::CommitPipe;
 use crate::histogram::StageHistograms;
 use crate::middleware::{MiddlewareChain, MiddlewareConfig, Refusal};
@@ -131,17 +129,17 @@ use sinclave_sgx::quote::Quote;
 use sinclave_sgx::report::ReportBody;
 use sinclave_sgx::sigstruct::SigStruct;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Weak;
 use std::time::{Duration, Instant};
 
-/// The snapshot cadence a new server starts with: persist, and so
-/// checkpoint and truncate the journal, after every this many grants
-/// and after every this many redemptions. Without it the sealed
-/// journal would keep every group-commit batch for the server's
-/// lifetime. [`CasServer::set_snapshot_cadence`] overrides it; `0`
-/// turns cadence-triggered persists off.
+/// The snapshot cadence a new server starts with: checkpoint, and so
+/// truncate the journal, after every this many grants and after every
+/// this many redemptions. Without it the sealed journal would keep
+/// every group-commit batch for the server's lifetime.
+/// [`CasServer::set_snapshot_cadence`] overrides it; `0` turns
+/// cadence-triggered checkpoints off.
 pub const DEFAULT_SNAPSHOT_CADENCE: u64 = 256;
 
 /// Defines [`CasStats`] (the live atomics) and [`StatsSnapshot`] (its
@@ -297,41 +295,6 @@ cas_counters! {
     replication_reconnects,
 }
 
-/// How the sealed redemption journal is driven (see the module docs'
-/// durability section; `ablation/journal` measures all three).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalMode {
-    /// No journaling: exactly-once across crashes falls back to being
-    /// snapshot-relative (the pre-journal behavior, kept as the
-    /// bench baseline and an explicit opt-out).
-    Disabled,
-    /// One sealed append per record — the honest fsync-per-redemption
-    /// ablation: maximal durability granularity, no batching window,
-    /// worst throughput.
-    PerRecord,
-    /// Group commit (the default): concurrent commits coalesce into
-    /// one sealed append; replies are held until their batch seals.
-    GroupCommit,
-}
-
-impl JournalMode {
-    fn from_u8(value: u8) -> JournalMode {
-        match value {
-            0 => JournalMode::Disabled,
-            1 => JournalMode::PerRecord,
-            _ => JournalMode::GroupCommit,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            JournalMode::Disabled => 0,
-            JournalMode::PerRecord => 1,
-            JournalMode::GroupCommit => 2,
-        }
-    }
-}
-
 /// The CAS service.
 pub struct CasServer {
     pub(crate) channel_key: RsaPrivateKey,
@@ -340,50 +303,15 @@ pub struct CasServer {
     /// Policy store; internally sharded and safe for concurrent use
     /// (retrieval is a shard read-lock plus an `Arc` bump).
     store: CasStore,
-    /// Persist the issuer snapshot after every this many grants and
-    /// redemptions ([`DEFAULT_SNAPSHOT_CADENCE`] unless set); `0`
-    /// disables cadence-triggered snapshots (explicit
-    /// [`CasServer::persist_state`] still works).
-    snapshot_cadence: AtomicU64,
     /// Group-commit pipe sequencing journal records.
     pipe: CommitPipe,
-    /// Serializes [`CasServer::persist_state`]: two interleaved
-    /// persists (e.g. concurrent cadence triggers on worker threads)
-    /// could otherwise truncate a journal epoch holding a record whose
-    /// redemption a stale, about-to-be-written snapshot does not cover
-    /// — losing an acked event. Held across rotate → checkpoint →
-    /// export → write → truncate; the journal commit path never takes
-    /// it, so redemptions are not serialized behind persists.
-    persist_lock: parking_lot::Mutex<()>,
-    /// Encoded [`JournalMode`].
-    journal_mode: AtomicU8,
-    /// Monotonic restore generation: the value of the last persisted
-    /// snapshot/checkpoint (restored at construction, bumped per
-    /// persist). Compared against an externally kept witness by
-    /// [`CasServer::check_rollback`].
-    generation: AtomicU64,
-    /// The issuer mutation epoch covered by the on-disk snapshot;
-    /// persists are skipped while the live epoch still matches.
-    persisted_epoch: AtomicU64,
-    /// The journal sequence the restored snapshot was current through
-    /// — the continuity baseline journal replay enforces gap-freedom
-    /// above.
-    journal_baseline: AtomicU64,
-    /// Whether the volume currently holds a restorable snapshot (set
-    /// by a successful restore or persist) — a clean epoch only
-    /// justifies skipping the write when there is something on disk.
-    snapshot_on_disk: AtomicBool,
+    /// The one owner of snapshots, journal truncation and the restore
+    /// generation; serving threads run its due checkpoints.
+    pub(crate) checkpoint: Checkpointer,
     /// The admission-control stack every served request passes
     /// (default: every layer off). Swapped whole by
     /// [`CasServer::set_middleware`].
     middleware: parking_lot::RwLock<Arc<MiddlewareChain>>,
-    /// Time-based snapshot cadence in microseconds (`0` = off): the
-    /// reactor's timer tick persists when this much time has passed
-    /// since the last persist, so *idle* workloads still bound the
-    /// journal-replay window. The event-count cadence
-    /// ([`CasServer::set_snapshot_cadence`]) remains the floor under
-    /// load.
-    snapshot_interval_micros: AtomicU64,
     /// Test instrumentation for the panic-isolation layer: when set,
     /// the next dispatched `Ping` panics (see
     /// [`CasServer::set_dispatch_panic_for_tests`]).
@@ -433,12 +361,6 @@ pub struct CasServer {
     /// activity this follower observed (batch applied or heartbeat
     /// heard); `0` until the stream first speaks.
     replication_stream_ns: AtomicU64,
-    /// Consecutive [`CasServer::persist_state`] failures — the
-    /// health verdict's durability signal. Reset by the next
-    /// successful (non-skipped) persist; `> 0` flags the server
-    /// Degraded, which is how cadence- and tick-triggered persists
-    /// (whose callers can only discard the error) surface failures.
-    persist_failures: AtomicU64,
     /// Set by [`CasServer::shutdown`]: serving paths stop accepting,
     /// finish in-flight requests, and exit.
     draining: AtomicBool,
@@ -582,16 +504,9 @@ impl CasServer {
             issuer: SingletonIssuer::new(signer_key, identity),
             attestation_root,
             store,
-            snapshot_cadence: AtomicU64::new(DEFAULT_SNAPSHOT_CADENCE),
             pipe: CommitPipe::new(),
-            persist_lock: parking_lot::Mutex::new(()),
-            journal_mode: AtomicU8::new(JournalMode::GroupCommit.as_u8()),
-            generation: AtomicU64::new(0),
-            persisted_epoch: AtomicU64::new(0),
-            journal_baseline: AtomicU64::new(0),
-            snapshot_on_disk: AtomicBool::new(false),
+            checkpoint: Checkpointer::new(),
             middleware: parking_lot::RwLock::new(Arc::new(MiddlewareChain::default())),
-            snapshot_interval_micros: AtomicU64::new(0),
             panic_on_next_ping: AtomicBool::new(false),
             fence: AtomicU64::new(0),
             fence_ceiling: AtomicU64::new(0),
@@ -604,7 +519,6 @@ impl CasServer {
             started: Instant::now(),
             replication_high_seq: AtomicU64::new(0),
             replication_stream_ns: AtomicU64::new(0),
-            persist_failures: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             drain_wakers: parking_lot::Mutex::new(Vec::new()),
             drain_stops: parking_lot::Mutex::new(Vec::new()),
@@ -624,12 +538,11 @@ impl CasServer {
                 trace::record_elapsed("sign", elapsed, SpanOutcome::Ok);
             }
         });
-        server.restore_state();
-        // The on-disk snapshot covers exactly the state restored so
-        // far; journal replay below dirties the epoch again if it
-        // applies anything beyond the snapshot.
-        server.persisted_epoch.store(server.issuer.mutation_epoch(), Ordering::Relaxed);
-        server.replay_journal();
+        // The on-disk snapshot covers exactly the state restored;
+        // journal replay dirties the epoch again if it applies
+        // anything beyond the snapshot.
+        let baseline = server.restore_state();
+        server.replay_journal(baseline);
         // The persisted fence ceiling outlives snapshots and journal
         // replay: a deposed primary restarting from its pre-failover
         // disk image must come back fenced, even though nothing in
@@ -683,127 +596,37 @@ impl CasServer {
     /// manifest as the single commit point, so a crash mid-persist
     /// leaves the previous good snapshot readable.
     ///
-    /// If the durable state is unchanged since the last persist (and a
-    /// snapshot is on disk), the write is skipped and counted in
-    /// [`CasStats::snapshot_skipped_clean`] — identical snapshots are
-    /// pure volume churn.
-    ///
-    /// A real persist is also the journal's checkpoint: the journal
-    /// rotates to a fresh epoch *first*, a checkpoint record carrying
-    /// the new restore generation is committed, the snapshot (which by
-    /// then covers everything in the retired epochs) is written, and
-    /// only then are the retired epochs deleted. A crash at any point
-    /// leaves either the old snapshot plus the full journal or the new
-    /// snapshot plus a replayable (idempotent) suffix — never a lost
-    /// acked event.
-    ///
-    /// Call this at graceful shutdown; [`CasServer::set_snapshot_cadence`]
-    /// additionally persists on a grant/redemption cadence.
-    ///
-    /// Every failure — this method's callers included — is counted in
-    /// [`CasStats::snapshot_persist_failed`], so cadence-triggered
-    /// persists that have no caller to report to still leave a signal.
+    /// A persist is the journal's checkpoint (rotate, checkpoint
+    /// record, write, truncate; a crash anywhere loses no acked event),
+    /// skipped while the state is unchanged
+    /// ([`CasStats::snapshot_skipped_clean`]). [`CasServer::shutdown`]
+    /// calls this; [`CasServer::set_snapshot_cadence`] checkpoints on a
+    /// cadence. A failure is counted in
+    /// [`CasStats::snapshot_persist_failed`] and keeps
+    /// [`CasServer::health`] Degraded until a persist succeeds.
     ///
     /// # Errors
     ///
     /// Propagates volume failures.
     pub fn persist_state(&self) -> Result<(), SinclaveError> {
-        // A live subscriber must not checkpoint: the checkpoint record
-        // would take a fresh local sequence number and collide with
-        // the primary's stream. Promotion clears the flag.
-        if self.following.load(Ordering::Relaxed) {
-            return Err(SinclaveError::JournalInvalid {
-                context: "replica does not checkpoint while following",
-            });
-        }
-        let _persisting = self.persist_lock.lock();
-        let epoch = self.issuer.mutation_epoch();
-        if self.snapshot_on_disk.load(Ordering::Relaxed)
-            && epoch == self.persisted_epoch.load(Ordering::Relaxed)
-        {
-            self.stats.snapshot_skipped_clean.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let fail = |e| {
-            self.stats.snapshot_persist_failed.fetch_add(1, Ordering::Relaxed);
-            // The consecutive-failure count is what flips the health
-            // verdict to Degraded: cadence- and reactor-tick-triggered
-            // persists have no caller to report to, so the failure is
-            // routed into [`CasServer::health`] here, at the source.
-            self.persist_failures.fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        };
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
-        let journaling = self.journal_mode() != JournalMode::Disabled;
-        let retired = if journaling {
-            match self.store.rotate_journal() {
-                Ok(retired) => retired,
-                Err(e) => return fail(e),
-            }
-        } else {
-            Vec::new()
-        };
-        if journaling {
-            if let Err(e) = self.commit_record(JournalRecord::Checkpoint { generation }) {
-                return fail(e);
-            }
-        }
-        // The snapshot is current through every journal record whose
-        // commit completed before this point (their in-memory
-        // mutations strictly precede their commits, and the export
-        // below reads after this): stamp that sequence as the replay
-        // continuity baseline.
-        let journal_sequence = self.pipe.sequence();
-        let mut snapshot = self.issuer.export_snapshot();
-        snapshot.generation = generation;
-        snapshot.journal_sequence = journal_sequence;
-        snapshot.fence = self.fence.load(Ordering::Relaxed);
-        if let Err(e) = self.store.persist_state(&snapshot.to_bytes()) {
-            return fail(e);
-        }
-        self.generation.store(generation, Ordering::Relaxed);
-        self.persisted_epoch.store(epoch, Ordering::Relaxed);
-        self.snapshot_on_disk.store(true, Ordering::Relaxed);
-        self.stats.snapshot_persisted.fetch_add(1, Ordering::Relaxed);
-        // Durability is proven healthy again: clear the Degraded flag.
-        self.persist_failures.store(0, Ordering::Relaxed);
-        if journaling {
-            // Truncation is best-effort: a failure leaves extra epochs
-            // whose replay over the new snapshot is an idempotent
-            // no-op; the next persist retires them again.
-            let _ = self.store.remove_journal_epochs(&retired);
-        }
-        Ok(())
+        self.checkpoint.run(self)
     }
 
     /// Persist the durable state automatically after every
     /// `every_events` issued grants and after every `every_events`
     /// redeemed tokens. A new server starts at
     /// [`DEFAULT_SNAPSHOT_CADENCE`]; `0` disables the cadence, and then
-    /// the journal grows until an explicit or interval persist
-    /// truncates it. Both halves matter:
-    /// the grant cadence bounds how much cache warmth a crash loses,
-    /// the redemption cadence bounds the token-reuse window a crash
-    /// reopens (see the module docs). The write happens on the compute
-    /// worker dispatching the triggering request, under the store's
-    /// volume lock — registration-rate, not retrieval-rate, so it
-    /// never contends with the hot path.
+    /// the journal grows until an explicit persist or shutdown
+    /// truncates it.
+    ///
+    /// A crossing only marks the checkpoint due. The reactor compute
+    /// worker or primary forwarder that served it runs it after the
+    /// reply is written: no reply waits for the snapshot write, that
+    /// connection's next request does. A direct
+    /// [`CasServer::redeem_token`] leaves it due until the next served
+    /// reply or shutdown.
     pub fn set_snapshot_cadence(&self, every_events: u64) {
-        self.snapshot_cadence.store(every_events, Ordering::Relaxed);
-    }
-
-    /// Cadence check shared by the grant and redemption paths:
-    /// persists when `count` (the just-incremented event counter) hits
-    /// a multiple of the configured cadence. Failures are counted
-    /// inside [`CasServer::persist_state`].
-    fn persist_on_cadence(&self, count: u64) {
-        let cadence = self.snapshot_cadence.load(Ordering::Relaxed);
-        if cadence != 0 && count.is_multiple_of(cadence) {
-            // The discarded error is not silent: persist_state counts
-            // it and bumps the consecutive-failure gauge that flips
-            // [`CasServer::health`] to Degraded.
-            let _ = self.persist_state();
-        }
+        self.checkpoint.set_cadence(every_events);
     }
 
     // ---- Operability: health, latency, graceful shutdown -----------------
@@ -838,8 +661,8 @@ impl CasServer {
     /// * **FailClosed** — fenced (a failover outranked this server) or
     ///   the append circuit breaker is open. Writes are refused.
     /// * **Degraded** — still serving, but durability or replication
-    ///   is impaired: a cadence/tick persist has failed and not yet
-    ///   succeeded again, journal appends failed since the previous
+    ///   is impaired: a persist has failed and not yet succeeded
+    ///   again, journal appends failed since the previous
     ///   probe, or a follower lost its replication stream.
     /// * **Healthy** — none of the above.
     pub fn health(&self) -> crate::status::Health {
@@ -848,10 +671,7 @@ impl CasServer {
         }
         let journal_failed = self.stats.journal_append_failed.load(Ordering::Relaxed);
         let seen = self.health_journal_failed_seen.swap(journal_failed, Ordering::Relaxed);
-        if self.persist_failures.load(Ordering::Relaxed) > 0
-            || journal_failed > seen
-            || self.middleware().is_degraded()
-        {
+        if self.checkpoint.failing() || journal_failed > seen || self.middleware().is_degraded() {
             return crate::status::Health::Degraded;
         }
         crate::status::Health::Healthy
@@ -931,32 +751,25 @@ impl CasServer {
     /// is a no-op, and every rejection path (unreadable file, bad
     /// framing, identity mismatch) counts into
     /// [`CasStats::snapshot_rejected`] and leaves the issuer exactly
-    /// as cold as a fresh one — restore is all-or-nothing.
-    fn restore_state(&self) {
-        let bytes = match self.store.restore_state() {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => return, // cold volume: nothing to restore
-            Err(_) => {
-                self.stats.snapshot_rejected.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+    /// as cold as a fresh one — restore is all-or-nothing. Returns the
+    /// journal sequence the restored snapshot is current through (`0`
+    /// when nothing was restored): the continuity baseline journal
+    /// replay enforces gap-freedom above.
+    fn restore_state(&self) -> u64 {
+        let restored = match self.store.restore_state() {
+            Ok(None) => return 0, // cold volume: nothing to restore
+            Ok(Some(bytes)) => IssuerSnapshot::from_bytes(&bytes)
+                .and_then(|snapshot| self.issuer.restore_snapshot(&snapshot).map(|_| snapshot)),
+            Err(e) => Err(e),
         };
-        let restored = IssuerSnapshot::from_bytes(&bytes).and_then(|snapshot| {
-            self.issuer.restore_snapshot(&snapshot)?;
-            Ok((snapshot.generation, snapshot.journal_sequence, snapshot.fence))
-        });
-        match restored {
-            Ok((generation, journal_sequence, fence)) => {
-                self.generation.store(generation, Ordering::Relaxed);
-                self.journal_baseline.store(journal_sequence, Ordering::Relaxed);
-                self.fence.store(fence, Ordering::Relaxed);
-                self.snapshot_on_disk.store(true, Ordering::Relaxed);
-                self.stats.snapshot_restored.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stats.snapshot_rejected.fetch_add(1, Ordering::Relaxed);
-            }
+        let Ok(snapshot) = restored else {
+            self.stats.snapshot_rejected.fetch_add(1, Ordering::Relaxed);
+            return 0;
         };
+        self.checkpoint.record_on_disk(snapshot.generation, self.issuer.mutation_epoch());
+        self.fence.store(snapshot.fence, Ordering::Relaxed);
+        self.stats.snapshot_restored.fetch_add(1, Ordering::Relaxed);
+        snapshot.journal_sequence
     }
 
     /// Replays the sealed redemption journal on top of whatever the
@@ -975,7 +788,7 @@ impl CasServer {
     ///   — is also counted, and additionally quarantines every
     ///   outstanding token: fail closed, never honor state the log
     ///   cannot vouch for.
-    fn replay_journal(&self) {
+    fn replay_journal(&self, baseline: u64) {
         let recovery = match self.store.recover_journal() {
             Ok(recovery) => recovery,
             Err(_) => {
@@ -984,8 +797,6 @@ impl CasServer {
                 return;
             }
         };
-        let baseline = self.journal_baseline.load(Ordering::Relaxed);
-        let mut generation = self.generation.load(Ordering::Relaxed);
         let mut fence = self.fence.load(Ordering::Relaxed);
         let mut last_seq = 0u64;
         let mut torn = matches!(recovery.damage, Some(JournalDamage::TornTail { .. }));
@@ -1018,7 +829,9 @@ impl CasServer {
                     // clean stop leaves exactly one checkpoint behind,
                     // and `journal_replayed == 0` after a restart is
                     // the observable proof the stop was clean.
-                    JournalRecord::Checkpoint { generation: g } => generation = generation.max(g),
+                    JournalRecord::Checkpoint { generation } => {
+                        self.checkpoint.observe_generation(generation);
+                    }
                     JournalRecord::Fence { fence: f } => fence = fence.max(f),
                     _ => {
                         self.issuer.apply_record(&sequenced.record);
@@ -1039,7 +852,6 @@ impl CasServer {
                 break;
             }
         }
-        self.generation.store(generation, Ordering::Relaxed);
         self.fence.store(fence, Ordering::Relaxed);
         self.pipe.resume_after(last_seq.max(baseline));
         if torn || corrupt {
@@ -1066,7 +878,7 @@ impl CasServer {
     /// restore.
     #[must_use]
     pub fn restore_generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        self.checkpoint.generation()
     }
 
     /// The highest journal record sequence number this server has
@@ -1098,7 +910,7 @@ impl CasServer {
     /// platform monotonic counter updated per append would close it
     /// entirely (see ROADMAP).
     pub fn check_rollback(&self, witness_generation: u64, witness_sequence: u64) -> bool {
-        if self.generation.load(Ordering::Relaxed) >= witness_generation
+        if self.checkpoint.generation() >= witness_generation
             && self.pipe.sequence() >= witness_sequence
         {
             return false;
@@ -1113,13 +925,13 @@ impl CasServer {
     /// `ablation/journal` bench and for deployments that accept the
     /// documented crash window in exchange for zero append cost.
     pub fn set_journal_mode(&self, mode: JournalMode) {
-        self.journal_mode.store(mode.as_u8(), Ordering::Relaxed);
+        self.checkpoint.set_journal_mode(mode);
     }
 
     /// The current journal mode.
     #[must_use]
     pub fn journal_mode(&self) -> JournalMode {
-        JournalMode::from_u8(self.journal_mode.load(Ordering::Relaxed))
+        self.checkpoint.journal_mode()
     }
 
     // ---- Replication & fencing -------------------------------------------
@@ -1285,7 +1097,7 @@ impl CasServer {
     ) -> Result<u64, SinclaveError> {
         let last = self.pipe.sequence();
         if last < baseline_seq {
-            if last != 0 || self.snapshot_on_disk.load(Ordering::Relaxed) {
+            if last != 0 || self.checkpoint.snapshot_on_disk() {
                 return Err(SinclaveError::ReplicationInvalid {
                     context: "replica too stale for suffix catch-up",
                 });
@@ -1309,10 +1121,7 @@ impl CasServer {
             // verbatim, so this replica's own restart replays from
             // the same baseline instead of coming up cold.
             self.store.persist_state(snapshot)?;
-            self.generation.store(parsed.generation, Ordering::Relaxed);
-            self.journal_baseline.store(baseline_seq, Ordering::Relaxed);
-            self.persisted_epoch.store(self.issuer.mutation_epoch(), Ordering::Relaxed);
-            self.snapshot_on_disk.store(true, Ordering::Relaxed);
+            self.checkpoint.record_on_disk(parsed.generation, self.issuer.mutation_epoch());
             self.stats.snapshot_restored.fetch_add(1, Ordering::Relaxed);
             self.pipe.resume_after(baseline_seq);
         }
@@ -1377,7 +1186,7 @@ impl CasServer {
         for sequenced in &fresh {
             match sequenced.record {
                 JournalRecord::Checkpoint { generation } => {
-                    self.generation.fetch_max(generation, Ordering::Relaxed);
+                    self.checkpoint.observe_generation(generation);
                 }
                 JournalRecord::Fence { fence } => {
                     self.fence.fetch_max(fence, Ordering::Relaxed);
@@ -1408,27 +1217,6 @@ impl CasServer {
     #[must_use]
     pub fn middleware(&self) -> Arc<MiddlewareChain> {
         self.middleware.read().clone()
-    }
-
-    /// Persist the durable state whenever `interval` has passed since
-    /// the last persist (`None` disables the tick). Driven by the
-    /// reactor's timer wheel, so it only fires on the reactor serving
-    /// path; the event-count cadence
-    /// ([`CasServer::set_snapshot_cadence`]) stays as the floor under
-    /// load, this tick bounds the replay window when *idle*.
-    pub fn set_snapshot_interval(&self, interval: Option<Duration>) {
-        let micros =
-            interval.map_or(0, |i| u64::try_from(i.as_micros()).unwrap_or(u64::MAX).max(1));
-        self.snapshot_interval_micros.store(micros, Ordering::Relaxed);
-    }
-
-    /// The configured time-based snapshot cadence, if any.
-    #[must_use]
-    pub fn snapshot_interval(&self) -> Option<Duration> {
-        match self.snapshot_interval_micros.load(Ordering::Relaxed) {
-            0 => None,
-            micros => Some(Duration::from_micros(micros)),
-        }
     }
 
     /// Whether dispatching `message` will need a journal append (and
@@ -1505,7 +1293,7 @@ impl CasServer {
     /// partition cannot make a write durable — and therefore cannot
     /// ack it.
     // invariant: journal-before-ack
-    fn commit_record(&self, record: JournalRecord) -> Result<(), SinclaveError> {
+    pub(crate) fn commit_record(&self, record: JournalRecord) -> Result<(), SinclaveError> {
         if self.is_fenced() {
             self.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
             return Err(SinclaveError::JournalInvalid { context: "journal fenced" });
@@ -1572,7 +1360,7 @@ impl CasServer {
         let common = self.issuer.redeem(token, attested_mrenclave)?;
         self.commit_record(SingletonIssuer::redemption_record(token))?;
         let redeemed = self.stats.tokens_redeemed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.persist_on_cadence(redeemed);
+        self.checkpoint.note_event(redeemed);
         Ok(common)
     }
 
@@ -1751,10 +1539,9 @@ impl CasServer {
                     }
                 }
                 let issued = self.stats.grants_issued.fetch_add(1, Ordering::Relaxed) + 1;
-                // Cadence-triggered durability: every Nth grant seals
-                // the issuer's state into the volume, bounding how
-                // much cache warmth a crash loses.
-                self.persist_on_cadence(issued);
+                // Every Nth grant makes a checkpoint due; the serving
+                // thread runs it after this reply is written.
+                self.checkpoint.note_event(issued);
                 Message::GrantResponse {
                     token: grant.token,
                     verifier_identity: *grant.verifier_identity.as_bytes(),
@@ -2192,6 +1979,42 @@ mod tests {
         // The persisted snapshot is the real, restorable article.
         let bytes = cas.store().restore_state().unwrap().unwrap();
         sinclave::snapshot::IssuerSnapshot::from_bytes(&bytes).unwrap();
+    }
+
+    #[test]
+    fn cadence_checkpoint_runs_after_the_triggering_reply() {
+        // The grant that crosses the cadence is answered before its
+        // checkpoint runs: under a slow modeled flush the client holds
+        // its reply while nothing is persisted yet, and the checkpoint
+        // still lands before the serve handle joins.
+        let (cas, signer_key, _) = server(48);
+        cas.set_snapshot_cadence(1);
+        cas.store().set_flush_latency_micros(100_000);
+        let layout = EnclaveLayout::for_program(b"app", 2).unwrap();
+        let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
+        let network = Network::new();
+        let handle = cas.serve_reactor(&network, "cas:443", 1, 480);
+        let conn = network.connect("cas:443").unwrap();
+        let mut chan =
+            SecureChannel::client_connect(conn, &mut StdRng::seed_from_u64(481)).unwrap();
+        chan.send(
+            &Message::GrantRequest {
+                common_sigstruct: signed.common_sigstruct.to_bytes(),
+                base_hash: signed.base_hash.encode().to_vec(),
+            }
+            .to_bytes(),
+        )
+        .unwrap();
+        let reply = Message::from_bytes(&chan.recv().unwrap()).unwrap();
+        assert!(matches!(reply, Message::GrantResponse { .. }), "got {reply:?}");
+        assert_eq!(
+            cas.stats.snapshot_persisted.load(Ordering::Relaxed),
+            0,
+            "the grant reply waited for its checkpoint"
+        );
+        drop(chan);
+        handle.join().unwrap();
+        assert_eq!(cas.stats.snapshot_persisted.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn render_span_tree(out: &mut String, trace: &CompletedTrace) {
 /// probe connections, each a loop of raw view-name frames answered
 /// with rendered view frames (unknown views answer `error: unknown
 /// view`). Drain-aware like every serving path — [`CasServer::shutdown`]
-/// stops the accept loop within one [`DRAIN_POLL`] slice, and the
+/// stops the accept loop within one 20 ms drain-poll slice, and the
 /// returned handle then joins.
 #[must_use]
 pub fn serve_status(

@@ -148,7 +148,8 @@ impl SpanOutcome {
 /// One timed stage of a traced request.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
-    /// Stage name (one of [`KNOWN_STAGES`]).
+    /// Stage name (one this build knows, or `"remote"`; see
+    /// [`intern_stage`]).
     pub stage: &'static str,
     /// Start on the trace clock, nanoseconds.
     pub start_ns: u64,
@@ -773,6 +774,39 @@ mod tests {
         let tracer = Tracer::new(Arc::new(StageHistograms::default()));
         tracer.set_enabled(true);
         tracer
+    }
+
+    #[test]
+    fn every_recorded_stage_is_known_and_documented() {
+        // A stage recorded here but missing from KNOWN_STAGES reaches a
+        // peer's trace as `remote` (this happened once: `dedup_hit` was
+        // recorded while `dedup_replay` was the known name). Refusals
+        // are listed by hand; the match fails to compile when a
+        // variant is added, as a reminder to list it.
+        use crate::middleware::Refusal;
+        let refusals = [Refusal::RateLimited, Refusal::QuotaExceeded, Refusal::LoadShed];
+        for refusal in refusals {
+            match refusal {
+                Refusal::RateLimited | Refusal::QuotaExceeded | Refusal::LoadShed => {}
+            }
+        }
+        let histograms = StageHistograms::default();
+        let recorded = histograms
+            .named()
+            .map(|(stage, _)| stage)
+            .into_iter()
+            .chain(refusals.map(Refusal::trace_stage))
+            .chain(["admission", "forward", "queue"]);
+        for stage in recorded {
+            assert_eq!(intern_stage(stage), stage, "`{stage}` is missing from KNOWN_STAGES");
+        }
+        let operations = include_str!("../../../docs/operations.md");
+        for stage in KNOWN_STAGES {
+            assert!(
+                operations.contains(&format!("`{stage}`")),
+                "`{stage}` is missing from docs/operations.md"
+            );
+        }
     }
 
     #[test]

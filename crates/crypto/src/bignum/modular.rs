@@ -355,9 +355,7 @@ impl Montgomery {
     /// Modular exponentiation `base^exp mod n` using a 4-bit window:
     /// on the IFMA kernel when the CPU has it and the modulus fits (see
     /// the type docs), otherwise with the window squarings on the
-    /// portable dedicated [`mont_sqr`] path. Both give the same result.
-    ///
-    /// [`mont_sqr`]: Montgomery::mont_sqr
+    /// portable dedicated `mont_sqr` path. Both give the same result.
     #[must_use]
     pub fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
         match self.ifma_context() {
@@ -388,12 +386,10 @@ impl Montgomery {
     }
 
     /// [`Montgomery::pow`] on the portable kernel with squarings
-    /// performed by the general multiplier instead of [`mont_sqr`] —
+    /// performed by the general multiplier instead of `mont_sqr` —
     /// never on IFMA. The pre-fast-path code,
     /// kept as the `ablation/mont-sqr` benchmark baseline and as the
     /// reference implementation for bit-identity property tests.
-    ///
-    /// [`mont_sqr`]: Montgomery::mont_sqr
     #[must_use]
     pub fn pow_mul_only(&self, base: &Uint, exp: &Uint) -> Uint {
         self.pow_impl(base, exp, false)

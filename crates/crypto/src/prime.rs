@@ -19,8 +19,8 @@ const MILLER_RABIN_ROUNDS: usize = 32;
 /// Tests whether `n` is (probably) prime.
 ///
 /// Deterministically correct for all `n` divisible by a tracked small
-/// prime; otherwise Miller–Rabin with [`MILLER_RABIN_ROUNDS`] random
-/// bases (error probability at most `4^-32`).
+/// prime; otherwise Miller–Rabin with 32 random bases (error
+/// probability at most `4^-32`).
 pub fn is_prime<R: RngCore + ?Sized>(rng: &mut R, n: &Uint) -> bool {
     if n.is_zero() || n.is_one() {
         return false;

@@ -1,7 +1,8 @@
 //! Admission-control and reactor integration tests: high fan-in
 //! serving, slow-loris resilience on many loops and on one, the wire
 //! encoding of rate-limit/quota refusals, circuit-breaker shedding,
-//! panic isolation, and the time-based snapshot tick.
+//! panic isolation, and per-start token freshness under the hardened
+//! chain.
 
 mod common;
 
@@ -254,41 +255,6 @@ fn panic_isolation_contains_a_poisoned_dispatch() {
     ping(&world, 7500, 2);
     cas.join().expect("serve");
     assert_eq!(world.cas.stats.snapshot().panics_isolated, 1);
-}
-
-#[test]
-fn time_based_snapshot_tick_persists_while_idle() {
-    let world = world(67);
-    world.cas.set_snapshot_interval(Some(Duration::from_millis(50)));
-    assert_eq!(world.cas.snapshot_interval(), Some(Duration::from_millis(50)));
-    let cas = world.serve_cas(1, 7600);
-
-    let conn = world.network.connect(CAS_ADDR).expect("connect");
-    let mut rng = StdRng::seed_from_u64(7700);
-    let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
-    // Dirty the issuer state, then go idle: the event-count cadence
-    // will never fire again, but the reactor's timer must.
-    chan.send(
-        &Message::GrantRequest {
-            common_sigstruct: world.packaged.signed.common_sigstruct.to_bytes(),
-            base_hash: world.packaged.signed.base_hash.encode().to_vec(),
-        }
-        .to_bytes(),
-    )
-    .expect("send");
-    let reply = Message::from_bytes(&chan.recv().expect("recv")).expect("decode");
-    assert!(matches!(reply, Message::GrantResponse { .. }), "got {reply:?}");
-    std::thread::sleep(Duration::from_millis(250));
-    drop(chan);
-    cas.join().expect("reactor");
-
-    assert!(
-        world.cas.stats.snapshot().snapshot_persisted >= 1,
-        "idle period never hit the snapshot tick"
-    );
-    // The persisted snapshot is the real, restorable article.
-    let bytes = world.cas.store().restore_state().expect("read").expect("snapshot present");
-    sinclave_repro::core::snapshot::IssuerSnapshot::from_bytes(&bytes).expect("parses");
 }
 
 #[test]

@@ -139,29 +139,29 @@ fn healthy_under_load_reports_all_three_views() {
 
 #[test]
 fn persist_failure_flips_degraded_and_recovery_flips_back() {
-    // Satellite 2's observable: a reactor-path server whose snapshot
-    // tick hits an injected volume write failure must flip the health
-    // verdict to Degraded (the old code discarded the error), and a
-    // recovered volume must flip it back to Healthy once a persist
-    // succeeds again.
+    // A reactor-path server whose cadence checkpoint hits an injected
+    // volume write failure must flip the health verdict to Degraded
+    // (the checkpoint has no caller to report to), and a recovered
+    // volume must flip it back to Healthy once a checkpoint succeeds
+    // again.
     let w = world(0x0b52);
-    w.cas.set_snapshot_interval(Some(Duration::from_millis(20)));
+    w.cas.set_snapshot_cadence(1);
     let status = w.serve_status(4096);
-    let reactor = w.serve_cas(2, 0x7ac7);
+    let reactor = w.serve_cas(3, 0x7ac7);
 
     // Fail file writes *before* dirtying state: journal appends still
     // work (grants keep committing), only whole-file snapshot writes
     // fail — impaired durability, not fail-closed.
     w.cas.store().set_file_write_failure(true);
     grant_via_wire(&w, 0x620);
-    wait_for("degraded verdict after failed tick", || w.probe_health() == Health::Degraded);
+    wait_for("degraded verdict after failed checkpoint", || w.probe_health() == Health::Degraded);
     // The failure is visible in the health view's signal lines too.
     assert!(w.probe_view("health").contains("status: degraded\n"));
 
-    // Heal the volume: the state is still dirty (the failed persists
-    // never sealed it), so the next tick persists and the consecutive-
-    // failure gauge resets.
+    // Heal the volume: the next grant crosses the cadence again, its
+    // checkpoint persists, and the consecutive-failure gauge resets.
     w.cas.store().set_file_write_failure(false);
+    grant_via_wire(&w, 0x621);
     wait_for("healthy verdict after recovery", || w.probe_health() == Health::Healthy);
 
     w.cas.shutdown().expect("shutdown");
