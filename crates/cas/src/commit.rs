@@ -142,7 +142,8 @@ impl CommitPipe {
     }
 
     /// Commits one record: returns once the batch containing it has
-    /// been appended durably (`append` is the sealed-volume write).
+    /// been appended durably (`append` is the sealed-volume write; it
+    /// also receives the batch's last sequence number).
     /// With `coalesce`, the leader flushes everything pending as one
     /// batch; without it, strictly one record per append (the
     /// fsync-per-redemption ablation).
@@ -160,7 +161,7 @@ impl CommitPipe {
         coalesce: bool,
         record: JournalRecord,
         stats: &CasStats,
-        append: impl Fn(&[u8]) -> Result<(), SinclaveError>,
+        append: impl Fn(&[u8], u64) -> Result<(), SinclaveError>,
     ) -> Result<(), SinclaveError> {
         // A poisoned pipe degrades to a refused commit: the caller
         // reports it to the middleware chain, the circuit breaker
@@ -200,7 +201,8 @@ impl CommitPipe {
                 .map(|(i, &(_, record))| SequencedRecord { seq: first_seq + i as u64, record })
                 .collect();
             drop(state);
-            let result = append(&encode_batch(&records));
+            let last_seq = first_seq + batch.len() as u64 - 1;
+            let result = append(&encode_batch(&records), last_seq);
             // lint: allow(panic) — batch holds at least the leader's own record
             let (first, last) = (batch[0].0, batch.last().expect("non-empty batch").0);
             // Re-locking must not bail out early: `flushing` is ours to
@@ -210,7 +212,7 @@ impl CommitPipe {
             state.flushing = false;
             state.completed = last;
             if result.is_ok() {
-                state.durable_seq = first_seq + batch.len() as u64 - 1;
+                state.durable_seq = last_seq;
                 stats.journal_appended.fetch_add(batch.len() as u64, Ordering::Relaxed);
             } else {
                 stats.journal_append_failed.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -250,7 +252,7 @@ mod tests {
         let stats = CasStats::default();
         let fail = AtomicBool::new(true);
         let durable = Mutex::new(Vec::new());
-        let append = |payload: &[u8]| {
+        let append = |payload: &[u8], _last_seq: u64| {
             if fail.load(Ordering::Relaxed) {
                 Err(SinclaveError::JournalInvalid { context: "injected" })
             } else {
@@ -285,7 +287,7 @@ mod tests {
                 let (pipe, stats, appends, barrier) = (&pipe, &stats, &appends, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    pipe.commit(true, record(i), stats, |payload| {
+                    pipe.commit(true, record(i), stats, |payload, _| {
                         appends.fetch_add(1, Ordering::Relaxed);
                         // A tiny stall lets arrivals coalesce.
                         std::thread::sleep(std::time::Duration::from_micros(200));
@@ -316,7 +318,7 @@ mod tests {
                     let (pipe, stats, calls, barrier) = (&pipe, &stats, &calls, &barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        pipe.commit(true, record(i), stats, |_| {
+                        pipe.commit(true, record(i), stats, |_, _| {
                             // Every other append fails.
                             if calls.fetch_add(1, Ordering::Relaxed) % 2 == 0 {
                                 std::thread::sleep(std::time::Duration::from_micros(100));

@@ -1,48 +1,51 @@
-//! The CAS serving path: a readiness-driven reactor.
+//! The CAS serving path: one readiness-driven reactor behind every
+//! listener — clients ([`CasServer::serve_reactor`]), fleet peers
+//! ([`crate::replica::serve_replication`]) and status probes
+//! ([`crate::status::serve_status`]). A connection must not cost a
+//! thread, since thousands of mostly-idle attesters hold sessions open:
 //!
-//! At production fan-in thousands of mostly-idle attesters hold
-//! sessions open, so a connection must not cost a thread. The reactor
-//! serves the protocol from:
-//!
-//! * a small, connection-count-independent number of **event loops**
-//!   each own a [`Poller`] and multiplex their share of all
-//!   connections through the bus's readiness API — an idle connection
-//!   costs one watch registration, not a thread;
-//! * each connection is a **state machine** (`Handshake → Idle ⇄
-//!   Busy`): handshake flights and message framing are driven
-//!   nonblockingly on the loop, while CPU-heavy request handling —
-//!   SigStruct verification, grant signing, reply sealing, journal
-//!   group-commit waits — is offloaded to a **compute pool** whose
-//!   completion re-enqueues the connection via the loop's inbox;
-//! * **at most one request per connection is in flight** at a time:
-//!   dispatch order is receive order and the per-connection RNG
-//!   advances in that order, so a client's bytes depend only on the
-//!   seed and its own requests (pinned by the golden-transcript test,
-//!   `tests/serving_golden.rs`);
-//! * the loop's **timer wheel** enforces the middleware chain's
-//!   handshake/idle deadlines (a slow-loris peer costs one table entry
-//!   until its deadline, never a thread). With both deadlines off (the
-//!   default chain) a silent peer is held until it hangs up or
-//!   [`CasServer::shutdown`] runs;
+//! * a few **event loops** (the thread a `serve_*` call spawns runs
+//!   loop 0) each own a [`Poller`] and multiplex their share of the
+//!   connections through the bus's readiness API;
+//! * each connection is a **state machine** whose first phase its
+//!   listener fixes: a client runs `Handshake → Idle ⇄ Busy`; a fleet
+//!   peer runs `Handshake → Hello`, and the hello's role picks
+//!   `Forward ⇄ Busy` (forwarded writes) or `Subscriber` (baseline,
+//!   then the journal stream, which the hub wakes through the
+//!   connection's own readiness handle); a status probe is `Probe`, no
+//!   handshake, each view rendered on the loop;
+//! * handshakes, framing and admission run on the loop; CPU-heavy work
+//!   — SigStruct verification, grant signing, sealing, group-commit
+//!   waits, forwarded writes — goes to a **compute pool** whose
+//!   completion re-enqueues the connection. At most one request per
+//!   connection is in flight, so dispatch order is receive order and a
+//!   peer's bytes depend only on the seed and its own requests (pinned
+//!   by `tests/serving_golden.rs` and `tests/fleet_golden.rs`);
+//! * the loop's **timer wheel** holds every connection deadline: the
+//!   middleware chain's handshake/idle deadlines for clients (with
+//!   both off, the default, a silent client is held until it hangs up
+//!   or [`CasServer::shutdown`] runs), [`RECV_TIMEOUT`] of silence for
+//!   any other peer, and a heartbeat for a subscriber stream quiet for
+//!   `replica::HEARTBEAT_INTERVAL` (20 ms). A slow-loris peer costs
+//!   one table entry, never a thread;
 //! * a **due checkpoint** (see [`CasServer::set_snapshot_cadence`]) runs
-//!   on the compute worker that writes the next reply — normally the
-//!   one serving the request that made it due — after that reply is
-//!   written and before its session goes back to its loop; never on an
-//!   event loop.
+//!   on the compute worker that writes the next reply, after the reply
+//!   is written; never on an event loop.
 //!
-//! Admission control runs *on the loop*, before a request is allowed
-//! to occupy a compute slot: rate-limit and quota refusals are sealed
-//! and sent inline from the idle session (a refused request costs the
-//! refuser a table lookup, not a compute slot). Panic isolation wraps
-//! dispatch on the compute workers; the circuit breaker is consulted
-//! pre-dispatch and fed at the commit boundary.
+//! Rate-limit and quota refusals are sealed and sent inline from the
+//! idle session, so a refused request costs a table lookup, not a
+//! compute slot. Panic isolation wraps dispatch on the compute
+//! workers; the circuit breaker is consulted pre-dispatch and fed at
+//! the commit boundary.
 
-use crate::middleware::{MiddlewareChain, MiddlewareConfig};
+use crate::middleware::MiddlewareChain;
+use crate::replica::{self, ReplicationHub, Stream, HEARTBEAT_INTERVAL};
 use crate::server::{CasServer, Request, ServeGuard};
 use crate::trace::{self, SpanOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sinclave::protocol::Message;
+use sinclave::replication::ReplicaRole;
 use sinclave_crypto::sha256::Digest;
 use sinclave_net::bus::RECV_TIMEOUT;
 use sinclave_net::{
@@ -54,6 +57,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// What a reactor's listener serves: it fixes the first phase of every
+/// connection the listener accepts, and the reactor's thread counts.
+pub(crate) enum Listen {
+    Clients {
+        loops: usize,
+        workers: usize,
+    },
+    /// Fleet peers; subscribers register on this hub. One loop and one
+    /// compute worker, which the forwarded writes of every follower share.
+    Replication(Arc<ReplicationHub>),
+    /// Plaintext status probes: one loop, nothing offloaded.
+    Status,
+}
 
 /// An established session: everything request handling needs, checked
 /// out *whole* to a compute worker while a request is in flight (the
@@ -71,13 +88,22 @@ struct Session {
 enum Phase {
     /// Driving the secure-channel handshake; the RNG lives here until
     /// the session exists.
-    Handshake { machine: ServerHandshake, rng: StdRng },
-    /// Established, no request in flight; the session is on the loop.
+    Handshake {
+        machine: ServerHandshake,
+        rng: StdRng,
+    },
+    /// A client session with no request in flight.
     Idle(Box<Session>),
-    /// One request is in flight on the compute pool (which holds the
-    /// session); further readiness events are deferred until the
-    /// completion re-enqueues the connection.
+    /// A fleet peer's session, waiting for its hello.
+    Hello(Box<Session>),
+    /// A forward session with no frame in flight.
+    Forward(Box<Session>),
+    /// One client request or forwarded frame is in flight on the
+    /// compute pool (which holds the session); further readiness events
+    /// are deferred until the completion re-enqueues the connection.
     Busy,
+    Subscriber(Box<Stream>),
+    Probe,
 }
 
 struct ConnState {
@@ -85,22 +111,13 @@ struct ConnState {
     phase: Phase,
     /// The readiness handle watching `conn`, kept so the loop can read
     /// how long the event it is servicing sat queued
-    /// ([`Readiness::since_signal`] — the traced `queue` leg).
+    /// ([`Readiness::since_signal`] — the traced `queue` leg) and so a
+    /// subscriber can hand it to the replication hub.
     ready: Arc<Readiness>,
-    /// When the last client flight was received (or the connection
-    /// accepted); the base for the phase's inactivity deadline.
+    /// When the last peer flight was received (or the connection
+    /// accepted; for a subscriber, when the last frame was written);
+    /// the base for the phase's deadline.
     last_activity: Instant,
-}
-
-/// The inactivity deadline a connection's phase is subject to, if any.
-fn phase_timeout(phase: &Phase, config: &MiddlewareConfig) -> Option<Duration> {
-    match phase {
-        Phase::Handshake { .. } => config.handshake_timeout,
-        Phase::Idle(_) => config.idle_timeout,
-        // In flight on the compute pool: its completion is the wakeup,
-        // not a timer.
-        Phase::Busy => None,
-    }
 }
 
 /// Cross-thread messages into an event loop, paired with a control
@@ -108,27 +125,33 @@ fn phase_timeout(phase: &Phase, config: &MiddlewareConfig) -> Option<Duration> {
 enum LoopMsg {
     /// Loop 0 routed a freshly accepted connection here.
     NewConn { slot: u64, conn: Connection },
-    /// A compute worker finished a request for connection `token`.
-    /// `session` is `None` when the connection must close (transport
-    /// failure or contained panic).
-    Completed { token: u64, session: Option<Box<Session>> },
+    /// A compute worker finished the work in flight for connection
+    /// `token`. `resume` is the phase to go back to, or `None` when the
+    /// connection must close (transport failure or contained panic).
+    Completed { token: u64, resume: Option<Phase> },
 }
 
-/// A unit of offloaded work: one decoded request plus the session it
-/// belongs to.
+/// A unit of offloaded work: what to do, plus the session it belongs
+/// to.
 struct Job {
     loop_id: usize,
     token: u64,
-    request: Request,
     session: Box<Session>,
-    /// When the request's raw frame was read off the connection — the
-    /// start of the end-to-end `request` latency sample the compute
-    /// worker records after sending the reply.
-    received: Instant,
-    /// The admitted request's trace, checked out alongside the session
-    /// (`None` when tracing is dark). The compute worker installs it
-    /// for dispatch and finishes it after the reply is sent.
-    trace: Option<Box<trace::ActiveTrace>>,
+    work: Work,
+}
+
+enum Work {
+    /// An admitted client request.
+    Request {
+        request: Box<Request>,
+        /// When its frame was read: the start of the `request` latency.
+        received: Instant,
+        /// Its trace (`None` when tracing is dark), installed for
+        /// dispatch and finished after the reply is sent.
+        trace: Option<Box<trace::ActiveTrace>>,
+    },
+    /// One raw frame of a forward session.
+    Forward(Vec<u8>),
 }
 
 /// Control token: the loop's inbox has messages.
@@ -191,15 +214,9 @@ impl CasServer {
         loops: usize,
         compute_workers: usize,
     ) -> JoinHandle<()> {
-        let listener = network.listen(addr);
-        let server = self.clone();
-        let guard = ServeGuard::register(self);
         let loops = loops.clamp(1, connections.max(1));
-        let compute_workers = compute_workers.max(1);
-        std::thread::spawn(move || {
-            let _serving = guard;
-            run_reactor(&server, listener, connections, seed, loops, compute_workers);
-        })
+        let listen = Listen::Clients { loops, workers: compute_workers.max(1) };
+        spawn_reactor(self, network, addr, listen, connections, seed)
     }
 }
 
@@ -208,9 +225,9 @@ impl CasServer {
 struct EventLoop<'a> {
     id: usize,
     server: &'a CasServer,
+    listen: &'a Listen,
     chain: Arc<MiddlewareChain>,
     poller: Poller,
-    inbox: Arc<parking_lot::Mutex<VecDeque<LoopMsg>>>,
     jobs: crossbeam::channel::Sender<Job>,
     /// Connection table; the token of entry `i` is `TOKEN_CONN0 + i`.
     /// Closed entries become `None` and their index joins `free`, so
@@ -234,21 +251,50 @@ struct EventLoop<'a> {
     /// Every loop's control readiness, for loop 0 to broadcast the
     /// accepting-done wakeup.
     all_controls: Vec<Arc<Readiness>>,
-    /// Routing: the other loops' inboxes (indexed by loop id).
+    /// Every loop's inbox, indexed by loop id: this loop's own, and
+    /// loop 0's routes to the others.
     all_inboxes: Vec<Arc<parking_lot::Mutex<VecDeque<LoopMsg>>>>,
     connections: usize,
     seed: u64,
-    loops: usize,
+}
+
+/// Serves `connections` connections of kind `listen` on `addr` from a
+/// background thread that runs loop 0 of the reactor; the handle joins
+/// once every slot is served (or accepting timed out after
+/// [`RECV_TIMEOUT`] without a dial) and every connection has closed. A
+/// replication reactor uninstalls its hub as it ends.
+pub(crate) fn spawn_reactor(
+    server: &Arc<CasServer>,
+    network: &Network,
+    addr: &str,
+    listen: Listen,
+    connections: usize,
+    seed: u64,
+) -> JoinHandle<()> {
+    let listener = network.listen(addr);
+    let guard = ServeGuard::register(server);
+    let server = server.clone();
+    std::thread::spawn(move || {
+        let _serving = guard;
+        run_reactor(&server, listener, &listen, connections, seed);
+        if matches!(listen, Listen::Replication(_)) {
+            server.set_replication_hub(None);
+        }
+    })
 }
 
 fn run_reactor(
-    server: &Arc<CasServer>,
+    server: &CasServer,
     listener: Listener,
+    listen: &Listen,
     connections: usize,
     seed: u64,
-    loops: usize,
-    compute_workers: usize,
 ) {
+    let (loops, compute_workers) = match listen {
+        Listen::Clients { loops, workers } => (*loops, *workers),
+        Listen::Replication(_) => (1, 1),
+        Listen::Status => (1, 0),
+    };
     let chain = server.middleware();
     let pollers: Vec<Poller> = (0..loops).map(|_| Poller::new()).collect();
     let controls: Vec<Arc<Readiness>> =
@@ -256,7 +302,6 @@ fn run_reactor(
     let inboxes: Vec<Arc<parking_lot::Mutex<VecDeque<LoopMsg>>>> =
         (0..loops).map(|_| Arc::new(parking_lot::Mutex::new(VecDeque::new()))).collect();
     let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let job_rx = Arc::new(job_rx);
     let accepting_done = Arc::new(AtomicBool::new(false));
     // A parked loop can wait out up to 60 s between timer events;
     // registering the control handles lets shutdown() wake every loop
@@ -266,34 +311,31 @@ fn run_reactor(
     }
 
     std::thread::scope(|scope| {
+        let job_rx = &job_rx;
         for _ in 0..compute_workers {
-            let job_rx = job_rx.clone();
-            let server = &**server;
             let chain = chain.clone();
             let inboxes = inboxes.clone();
             let controls = controls.clone();
             scope.spawn(move || {
                 while let Ok(job) = job_rx.recv() {
-                    let completion =
-                        run_job(server, &chain, job.request, job.received, job.session, job.trace);
-                    inboxes[job.loop_id]
-                        .lock()
-                        .push_back(LoopMsg::Completed { token: job.token, session: completion });
-                    controls[job.loop_id].signal();
+                    let (loop_id, token) = (job.loop_id, job.token);
+                    let resume = run_job(server, &chain, job);
+                    inboxes[loop_id].lock().push_back(LoopMsg::Completed { token, resume });
+                    controls[loop_id].signal();
                 }
             });
         }
 
         let mut listener = Some(listener);
-        let mut pollers = pollers.into_iter();
-        for id in 0..loops {
-            let mut event_loop = EventLoop {
+        let mut event_loops: Vec<EventLoop<'_>> = pollers
+            .into_iter()
+            .enumerate()
+            .map(|(id, poller)| EventLoop {
                 id,
                 server,
+                listen,
                 chain: chain.clone(),
-                // lint: allow(panic) — pollers was constructed with exactly `loops` elements
-                poller: pollers.next().expect("one poller per loop"),
-                inbox: inboxes[id].clone(),
+                poller,
                 jobs: job_tx.clone(),
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -306,30 +348,48 @@ fn run_reactor(
                 all_inboxes: inboxes.clone(),
                 connections,
                 seed,
-                loops,
-            };
+            })
+            .collect();
+        // The loops hold the only live job senders now: the compute
+        // pool drains and exits once every loop has finished.
+        drop(job_tx);
+        for mut event_loop in event_loops.split_off(1) {
             scope.spawn(move || event_loop.run());
         }
-        // The loops and compute workers hold the only live senders and
-        // receivers now; dropping ours lets the compute pool drain and
-        // exit once every loop has finished.
-        drop(job_tx);
+        if let Some(mut loop_zero) = event_loops.pop() {
+            loop_zero.run();
+        }
     });
 }
 
-/// Runs one offloaded request on a compute worker: admission already
-/// passed on the loop; here the request is dispatched (under panic
-/// isolation when configured), the reply sealed and sent, and then a
-/// checkpoint claimed before the send runs. Returns the session to
-/// re-enqueue, or `None` when the connection must close.
-fn run_job(
+/// Runs one offloaded job on a compute worker and returns the phase to
+/// re-enqueue its connection in, or `None` when it must close.
+fn run_job(server: &CasServer, chain: &MiddlewareChain, job: Job) -> Option<Phase> {
+    let mut session = job.session;
+    match job.work {
+        Work::Request { request, received, trace } => {
+            serve_request(server, chain, *request, received, trace, &mut session)
+                .then(|| Phase::Idle(session))
+        }
+        Work::Forward(raw) => {
+            let reply = replica::forward_reply(server, &raw, &session.transcript, &mut session.rng);
+            reply_then_checkpoint(server, || session.sender.send(&reply.to_bytes()).is_ok())
+                .then(|| Phase::Forward(session))
+        }
+    }
+}
+
+/// Serves one admitted client request: dispatch (under panic isolation
+/// when configured), then the sealed reply. Returns whether the reply
+/// was written.
+fn serve_request(
     server: &CasServer,
     chain: &MiddlewareChain,
     request: Request,
     received: Instant,
-    mut session: Box<Session>,
     active: Option<Box<trace::ActiveTrace>>,
-) -> Option<Box<Session>> {
+    session: &mut Session,
+) -> bool {
     if let Some(active) = active {
         trace::install(active);
     }
@@ -346,41 +406,60 @@ fn run_job(
             orphan.mark_errored();
             server.tracer().finish(orphan);
         }
-        return None;
+        return false;
     };
     if matches!(reply, Message::Denied { .. }) {
         server.stats.denials.fetch_add(1, Ordering::Relaxed);
     }
-    // Claimed before the reply leaves, so an event the client causes
-    // after reading it marks a fresh checkpoint instead of folding
-    // into this one.
-    let checkpoint = server.checkpoint.claim_due();
+    reply_then_checkpoint(server, || send_reply(server, session, &reply, Some(received)))
+}
+
+/// Seals and sends a client reply and finishes the request's trace,
+/// errored when the send failed (the peer went away mid-request; the
+/// connection closes). A dispatched reply (`received` is when its
+/// request was read) also records its sealing cost and the full
+/// received→written span. The trace context is echoed only when the
+/// request carried one: untraced clients see the exact bytes of the
+/// untraced build.
+fn send_reply(
+    server: &CasServer,
+    session: &mut Session,
+    reply: &Message,
+    received: Option<Instant>,
+) -> bool {
     let active = trace::take();
-    // The trace context is echoed only when the request carried one:
-    // untraced clients see the exact bytes of the untraced build.
     let echo = active.as_ref().filter(|t| t.inherited()).map(|t| t.context());
-    // A send failure means the peer went away mid-request; close.
     let sealing = Instant::now();
     let sent = session.sender.send(&reply.to_bytes_traced(echo.as_ref())).is_ok();
-    if sent {
-        // Sealing cost, then the full received→written span.
+    let dispatched = received.filter(|_| sent);
+    if let Some(received) = dispatched {
         server.latency().seal.record(sealing.elapsed());
         server.latency().request.record(received.elapsed());
     }
     if let Some(mut active) = active {
-        if sent {
+        if dispatched.is_some() {
             active.record_elapsed("seal", sealing.elapsed(), SpanOutcome::Ok);
-        } else {
+        } else if !sent {
             active.mark_errored();
         }
         server.tracer().finish(active);
     }
-    // The reply is written: the checkpoint delays this connection's
-    // next request, not this reply, and never an event loop.
+    sent
+}
+
+/// Writes a reply with `send` around the due checkpoint, for client
+/// requests and forwarded frames alike. The checkpoint is claimed
+/// before the reply leaves, so an event the peer causes after reading
+/// it marks a fresh checkpoint instead of folding into this one, and
+/// run after it is written, so it delays this connection's next
+/// request, not this reply, and never an event loop.
+fn reply_then_checkpoint(server: &CasServer, send: impl FnOnce() -> bool) -> bool {
+    let checkpoint = server.checkpoint.claim_due();
+    let sent = send();
     if checkpoint {
         let _ = server.checkpoint.run(server);
     }
-    sent.then_some(session)
+    sent
 }
 
 impl EventLoop<'_> {
@@ -390,12 +469,9 @@ impl EventLoop<'_> {
         }
         loop {
             self.drain_inbox();
+            // After the inbox drain, so a routed NewConn is registered
+            // and then shed.
             if self.server.is_draining() {
-                // Shutdown: stop accepting and shed every connection
-                // without a request in flight; Busy connections close
-                // at their completion (see `complete`). Checked after
-                // the inbox drain so a routed NewConn is registered,
-                // then immediately shed here.
                 self.begin_drain();
             }
             if self.id == 0 {
@@ -420,26 +496,39 @@ impl EventLoop<'_> {
     fn done(&self) -> bool {
         self.accepting_done.load(Ordering::Acquire)
             && self.live == 0
-            && self.inbox.lock().is_empty()
+            && self.all_inboxes[self.id].lock().is_empty()
+    }
+
+    /// When the deadline of the connection's phase passes, if it has
+    /// one. Past it, a subscriber stream gets a heartbeat and any other
+    /// connection hangs up.
+    fn deadline(&self, state: &ConnState) -> Option<Instant> {
+        let config = self.chain.config();
+        let timeout = match (&state.phase, self.listen) {
+            (Phase::Handshake { .. }, Listen::Clients { .. }) => config.handshake_timeout,
+            (Phase::Idle(_), _) => config.idle_timeout,
+            (Phase::Subscriber(_), _) => Some(HEARTBEAT_INTERVAL),
+            // In flight on the compute pool: its completion is the
+            // wakeup, not a timer.
+            (Phase::Busy, _) => None,
+            _ => Some(RECV_TIMEOUT),
+        };
+        timeout.map(|t| state.last_activity + t)
     }
 
     /// How long to park: bounded by the accept deadline (loop 0, while
-    /// accepting) and the nearest handshake/idle deadline. An
-    /// unbounded park would miss timer-only events; everything else
-    /// arrives as a readiness signal.
+    /// accepting) and the nearest connection deadline. An unbounded
+    /// park would miss timer-only events; everything else arrives as a
+    /// readiness signal.
     fn next_wait(&self) -> Duration {
         let mut wait = Duration::from_secs(60);
         if self.id == 0 && !self.accepting_done.load(Ordering::Relaxed) {
             let deadline = self.last_accept + RECV_TIMEOUT;
             wait = wait.min(deadline.saturating_duration_since(Instant::now()));
         }
-        let config = self.chain.config();
         let now = Instant::now();
-        for state in self.conns.iter().flatten() {
-            let deadline = phase_timeout(&state.phase, config).map(|t| state.last_activity + t);
-            if let Some(deadline) = deadline {
-                wait = wait.min(deadline.saturating_duration_since(now));
-            }
+        for deadline in self.conns.iter().flatten().filter_map(|state| self.deadline(state)) {
+            wait = wait.min(deadline.saturating_duration_since(now));
         }
         wait.max(Duration::from_millis(1))
     }
@@ -448,11 +537,11 @@ impl EventLoop<'_> {
         loop {
             // Take one message at a time so the lock is never held
             // across connection handling.
-            let msg = self.inbox.lock().pop_front();
+            let msg = self.all_inboxes[self.id].lock().pop_front();
             match msg {
                 None => return,
                 Some(LoopMsg::NewConn { slot, conn }) => self.register(slot, conn),
-                Some(LoopMsg::Completed { token, session }) => self.complete(token, session),
+                Some(LoopMsg::Completed { token, resume }) => self.complete(token, resume),
             }
         }
     }
@@ -469,7 +558,7 @@ impl EventLoop<'_> {
             let slot = self.accepted;
             self.accepted += 1;
             self.last_accept = Instant::now();
-            let target = (slot as usize) % self.loops;
+            let target = (slot as usize) % self.all_inboxes.len();
             if target == self.id {
                 self.register(slot, conn);
             } else {
@@ -480,78 +569,82 @@ impl EventLoop<'_> {
         let timed_out =
             self.accepted < self.connections as u64 && self.last_accept.elapsed() >= RECV_TIMEOUT;
         if self.accepted == self.connections as u64 || timed_out {
-            // Budget served (or dials dried up): tell every loop it
-            // may exit once its connections drain.
-            self.accepting_done.store(true, Ordering::Release);
-            self.listener = None;
-            for control in &self.all_controls {
-                control.signal();
-            }
+            // Budget served (or dials dried up).
+            self.stop_accepting();
         }
     }
 
-    /// Adds a connection to the table in the `Handshake` phase with
-    /// its slot-derived RNG, and watches it on this loop's poller (the
-    /// registration's catch-up signal covers anything the client
-    /// already sent).
+    /// Closes the listener and tells every loop it may exit once its
+    /// connections drain.
+    fn stop_accepting(&mut self) {
+        self.accepting_done.store(true, Ordering::Release);
+        self.listener = None;
+        for control in &self.all_controls {
+            control.signal();
+        }
+    }
+
+    /// Adds a connection to the table in its listener's first phase —
+    /// a handshake with its slot-derived RNG, or a probe — and watches
+    /// it on this loop's poller (the registration's catch-up signal
+    /// covers anything the peer already sent).
     fn register(&mut self, slot: u64, conn: Connection) {
         let conn = Arc::new(conn);
         let index = claim_slot(&mut self.conns, &mut self.free);
         let ready = self.poller.readiness(TOKEN_CONN0 + index as u64);
         conn.watch(&ready);
-        self.conns[index] = Some(ConnState {
-            conn,
-            phase: Phase::Handshake {
+        let phase = match self.listen {
+            Listen::Status => Phase::Probe,
+            Listen::Clients { .. } | Listen::Replication(_) => Phase::Handshake {
                 machine: ServerHandshake::new(),
                 rng: StdRng::seed_from_u64(self.seed.wrapping_add(slot)),
             },
-            ready,
-            last_activity: Instant::now(),
-        });
+        };
+        self.conns[index] = Some(ConnState { conn, phase, ready, last_activity: Instant::now() });
         self.live += 1;
     }
 
-    /// A compute completion: return the session (Busy → Idle) and
-    /// immediately drain anything that arrived while busy, or close.
-    /// While draining, the in-flight request this completion answers
-    /// was the connection's last — close instead of going Idle.
-    fn complete(&mut self, token: u64, session: Option<Box<Session>>) {
-        match session {
-            Some(session) => {
-                if self.server.is_draining() {
-                    return self.close(token);
-                }
-                let Some(state) = conn_mut(&mut self.conns, token) else { return };
-                state.phase = Phase::Idle(session);
+    /// A compute completion: resume the connection's phase (Busy → Idle
+    /// or Forward) and immediately drain anything that arrived while
+    /// busy, or close. While draining, the work this completion answers
+    /// was the connection's last — close instead of resuming.
+    fn complete(&mut self, token: u64, resume: Option<Phase>) {
+        let draining = self.server.is_draining();
+        match (resume, conn_mut(&mut self.conns, token)) {
+            (Some(phase), Some(state)) if !draining => {
+                state.phase = phase;
                 state.last_activity = Instant::now();
                 self.drain_conn(token);
             }
-            None => self.close(token),
+            _ => self.close(token),
         }
     }
 
     fn close(&mut self, token: u64) {
-        let Some(index) = token.checked_sub(TOKEN_CONN0).and_then(|i| usize::try_from(i).ok())
-        else {
-            return;
-        };
-        if let Some(entry) = self.conns.get_mut(index) {
-            if entry.take().is_some() {
-                self.live -= 1;
-                self.free.push(index);
-            }
+        let Some(index) = conn_index(token) else { return };
+        if self.conns.get_mut(index).and_then(Option::take).is_some() {
+            self.live -= 1;
+            self.free.push(index);
         }
     }
 
     /// Drives one connection's state machine as far as its queued
-    /// input allows: handshake flights inline, then at most one
-    /// decoded request offloaded to the compute pool.
+    /// input allows: handshake flights, hellos, probes and subscriber
+    /// frames inline, then at most one decoded request offloaded to
+    /// the compute pool.
     fn drain_conn(&mut self, token: u64) {
         loop {
             // The connection borrow must end before `close` below, so
             // each step reports its outcome instead of acting on self.
-            let step =
-                step_conn(&mut self.conns, token, self.server, &self.chain, &self.jobs, self.id);
+            let Some(state) = conn_mut(&mut self.conns, token) else { return };
+            let step = step_conn(state, self.server, self.listen, &self.chain, |session, work| {
+                let job = Job { loop_id: self.id, token, session, work };
+                if self.jobs.send(job).is_err() {
+                    Step::Close
+                } else {
+                    Step::Drained
+                }
+            });
             match step {
                 Step::Continue => {}
                 Step::Drained => return,
@@ -560,56 +653,53 @@ impl EventLoop<'_> {
         }
     }
 
-    /// The timer wheel: close handshakes and idle sessions whose
-    /// client has been *inactive* (no flight received) past the
-    /// configured deadline. `Busy` connections are exempt — a request
-    /// in flight is activity, not a stall. A connection only counts as
-    /// stalled if it is past its deadline *and* draining it yields
-    /// nothing: the client may have sent bytes this loop hasn't read
-    /// yet (e.g. while the thread was decapsulating another
-    /// connection's handshake), and queued input is activity.
+    /// The timer wheel: act on every connection whose phase deadline
+    /// has passed (see `deadline`). A connection only counts as overdue
+    /// if it is past its deadline *and* draining it yields nothing: the
+    /// peer may have sent bytes this loop hasn't read yet (e.g. while
+    /// the thread was decapsulating another connection's handshake),
+    /// and queued input is activity.
     fn enforce_deadlines(&mut self) {
-        let config = *self.chain.config();
-        if config.handshake_timeout.is_none() && config.idle_timeout.is_none() {
-            return;
-        }
         for index in 0..self.conns.len() {
             let token = TOKEN_CONN0 + index as u64;
-            let overdue = |state: Option<&ConnState>| {
-                state.is_some_and(|state| {
-                    phase_timeout(&state.phase, &config)
-                        .is_some_and(|t| state.last_activity.elapsed() >= t)
-                })
+            let overdue = |this: &Self| {
+                let deadline = this.conns[index].as_ref().and_then(|state| this.deadline(state));
+                deadline.is_some_and(|deadline| deadline <= Instant::now())
             };
-            if !overdue(self.conns[index].as_ref()) {
+            if !overdue(self) {
                 continue;
             }
             self.drain_conn(token);
-            if overdue(self.conns[index].as_ref()) {
-                self.server.stats.connections_timed_out.fetch_add(1, Ordering::Relaxed);
+            if !overdue(self) {
+                continue;
+            }
+            let step = match self.conns[index].as_mut() {
+                Some(ConnState { phase: Phase::Subscriber(stream), last_activity, .. }) => {
+                    *last_activity = Instant::now();
+                    stream.heartbeat(self.server)
+                }
+                _ => {
+                    self.server.stats.connections_timed_out.fetch_add(1, Ordering::Relaxed);
+                    Step::Close
+                }
+            };
+            if matches!(step, Step::Close) {
                 self.close(token);
             }
         }
     }
 
     /// Shutdown (every loop, once [`CasServer::shutdown`] set the
-    /// drain flag): loop 0 performs the same stop-accepting broadcast
-    /// as an exhausted accept budget, and every connection without a
-    /// request in flight closes now. Busy connections finish on the
-    /// compute pool and close in `complete`, so in-flight replies are
-    /// never dropped.
+    /// drain flag): loop 0 stops accepting, and every connection
+    /// without a request in flight closes now. Busy connections finish
+    /// on the compute pool and close in `complete`, so in-flight
+    /// replies are never dropped.
     fn begin_drain(&mut self) {
-        if self.id == 0 && self.listener.is_some() {
-            self.accepting_done.store(true, Ordering::Release);
-            self.listener = None;
-            for control in &self.all_controls {
-                control.signal();
-            }
+        if self.listener.is_some() {
+            self.stop_accepting();
         }
         for index in 0..self.conns.len() {
-            let busy =
-                self.conns[index].as_ref().is_some_and(|state| matches!(state.phase, Phase::Busy));
-            if self.conns[index].is_some() && !busy {
+            if self.conns[index].as_ref().is_some_and(|state| !matches!(state.phase, Phase::Busy)) {
                 self.close(TOKEN_CONN0 + index as u64);
             }
         }
@@ -617,7 +707,7 @@ impl EventLoop<'_> {
 }
 
 /// Outcome of one connection state-machine step.
-enum Step {
+pub(crate) enum Step {
     /// Progress was made; step again.
     Continue,
     /// The connection's input is drained (or a request was offloaded);
@@ -636,140 +726,160 @@ fn claim_slot<T>(table: &mut Vec<Option<T>>, free: &mut Vec<usize>) -> usize {
     })
 }
 
-fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnState> {
-    let index = usize::try_from(token.checked_sub(TOKEN_CONN0)?).ok()?;
-    conns.get_mut(index)?.as_mut()
+fn conn_index(token: u64) -> Option<usize> {
+    usize::try_from(token.checked_sub(TOKEN_CONN0)?).ok()
 }
 
-/// One step of a connection's state machine (free function so the
-/// caller's borrow of the connection table stays disjoint from the
-/// loop's other fields): handshake flights run inline, an admitted
-/// request checks the session out to the compute pool, refusals and
-/// malformed messages are answered inline from the idle session.
+fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnState> {
+    conns.get_mut(conn_index(token)?)?.as_mut()
+}
+
+/// One step of a connection's state machine (a free function so the
+/// borrow of the connection stays disjoint from the loop's other
+/// fields). Handshake flights, hellos, probes and subscriber frames
+/// run inline; an admitted request or a forwarded frame checks the
+/// session out to the compute pool through `offload`.
 fn step_conn(
-    conns: &mut [Option<ConnState>],
-    token: u64,
+    state: &mut ConnState,
     server: &CasServer,
+    listen: &Listen,
     chain: &MiddlewareChain,
-    jobs: &crossbeam::channel::Sender<Job>,
-    loop_id: usize,
+    offload: impl FnOnce(Box<Session>, Work) -> Step,
 ) -> Step {
-    let Some(state) = conn_mut(conns, token) else { return Step::Drained };
-    match &mut state.phase {
-        // A request is in flight; its completion resumes the drain.
-        Phase::Busy => Step::Drained,
-        Phase::Handshake { .. } => {
-            let raw = match state.conn.try_recv() {
-                Ok(raw) => raw,
-                Err(NetError::Timeout) => return Step::Drained,
-                Err(_) => return Step::Close,
-            };
-            state.last_activity = Instant::now();
-            // lint: allow(panic) — phase variant pinned by the enclosing match arm
-            let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
-            // Handshake flights stay on the loop, KEM decapsulation
-            // included. That is not free: a CRT decapsulation under an
-            // RSA-1024 channel key costs ≈0.12 ms on a 2-vCPU x86-64
-            // host with AVX-512 IFMA, both halves on this thread
-            // (`ablation/rsa-crt/kem-decapsulate-crt`; ≈0.26 ms on the
-            // portable kernel, which offers one half to a helper
-            // thread), during which this loop's other connections wait.
-            match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
-                Ok(None) => Step::Continue,
-                Ok(Some(channel)) => {
-                    let transcript = channel.transcript();
-                    let (sender, receiver) = channel.split();
-                    let Phase::Handshake { rng, .. } =
-                        std::mem::replace(&mut state.phase, Phase::Busy)
-                    else {
-                        // lint: allow(panic) — phase variant pinned by the enclosing match arm
-                        unreachable!()
-                    };
-                    state.phase = Phase::Idle(Box::new(Session {
-                        sender,
-                        receiver,
-                        transcript,
-                        outstanding_nonce: None,
-                        rng,
-                    }));
-                    Step::Continue
-                }
-                Err(_) => Step::Close,
+    let session = match &mut state.phase {
+        // Work is in flight; its completion resumes the drain.
+        Phase::Busy => return Step::Drained,
+        Phase::Handshake { .. } | Phase::Probe => return step_raw(state, server, listen),
+        Phase::Subscriber(stream) => {
+            let step = stream.write_next(server);
+            if matches!(step, Step::Continue) {
+                state.last_activity = Instant::now();
             }
+            return step;
         }
-        Phase::Idle(session) => {
-            let raw = match session.receiver.try_recv() {
-                Ok(raw) => raw,
-                Err(NetError::Timeout) => return Step::Drained,
-                Err(NetError::RecordCorrupt) => {
-                    server.stats.records_rejected.fetch_add(1, Ordering::Relaxed);
+        Phase::Idle(session) | Phase::Hello(session) | Phase::Forward(session) => session,
+    };
+    let raw = match session.receiver.try_recv() {
+        Ok(raw) => raw,
+        Err(NetError::Timeout) => return Step::Drained,
+        Err(NetError::RecordCorrupt) => {
+            server.stats.records_rejected.fetch_add(1, Ordering::Relaxed);
+            return Step::Close;
+        }
+        Err(_) => return Step::Close,
+    };
+    state.last_activity = Instant::now();
+    match std::mem::replace(&mut state.phase, Phase::Busy) {
+        // Admitted: check the session out to the compute pool and stop
+        // draining — at most one request in flight per connection
+        // keeps dispatch order equal to receive order. Refusals and
+        // malformed messages are answered inline from the idle session:
+        // they must not cost a compute slot.
+        Phase::Idle(mut session) => match admit(state, server, chain, &raw) {
+            Ok(work) => offload(session, work),
+            Err(refusal) => {
+                // A refused trace still completes (and tail sampling
+                // pins it).
+                server.stats.denials.fetch_add(1, Ordering::Relaxed);
+                if !send_reply(server, &mut session, &refusal, None) {
                     return Step::Close;
                 }
-                Err(_) => return Step::Close,
-            };
-            state.last_activity = Instant::now();
-            let queued_for = state.ready.since_signal();
-            let reply = match Message::from_bytes_traced(&raw) {
-                Ok((message, inherited)) => {
-                    if let Some(mut started) = server.tracer().begin(inherited) {
-                        // How long the frame's readiness signal sat
-                        // before this loop serviced it: the `queue`
-                        // leg. Coarse (see `since_signal`) but exactly
-                        // the wait admission control cannot see.
-                        if let Some(waited) = queued_for {
-                            started.record_queue(waited);
-                        }
-                        trace::install(started);
-                    }
-                    match server.admit(chain, message) {
-                        // Admitted: check the session out to the compute
-                        // pool and stop draining — at most one request in
-                        // flight per connection keeps dispatch order equal
-                        // to receive order.
-                        Ok(request) => {
-                            let Phase::Idle(session) =
-                                std::mem::replace(&mut state.phase, Phase::Busy)
-                            else {
-                                // lint: allow(panic) — phase variant pinned by the enclosing match arm
-                                unreachable!()
-                            };
-                            // `last_activity` was stamped when this raw
-                            // frame was read — it is the request's receive
-                            // instant for the end-to-end latency sample.
-                            let received = state.last_activity;
-                            let trace = trace::take();
-                            return if jobs
-                                .send(Job { loop_id, token, request, session, received, trace })
-                                .is_err()
-                            {
-                                Step::Close
-                            } else {
-                                Step::Drained
-                            };
-                        }
-                        Err(refused) => refused,
-                    }
-                }
-                Err(_) => Message::Denied { reason: "malformed message".into() },
-            };
-            // Refusals and malformed messages are answered inline from
-            // the idle session: they must not cost a compute slot. A
-            // refused trace still completes (and tail sampling pins it).
-            server.stats.denials.fetch_add(1, Ordering::Relaxed);
-            let active = trace::take();
-            let echo = active.as_ref().filter(|t| t.inherited()).map(|t| t.context());
-            if session.sender.send(&reply.to_bytes_traced(echo.as_ref())).is_err() {
-                if let Some(mut orphan) = active {
-                    orphan.mark_errored();
-                    server.tracer().finish(orphan);
-                }
-                return Step::Close;
+                state.phase = Phase::Idle(session);
+                Step::Continue
             }
-            if let Some(finished) = active {
-                server.tracer().finish(finished);
-            }
+        },
+        Phase::Forward(session) => offload(session, Work::Forward(raw)),
+        Phase::Hello(mut session) => {
+            let Listen::Replication(hub) = listen else { return Step::Close };
+            let opened = match replica::hello(server, &raw) {
+                Err(refusal) => {
+                    let _ = session.sender.send(&refusal.to_bytes());
+                    return Step::Close;
+                }
+                Ok(ReplicaRole::Forward) => session
+                    .sender
+                    .send(&replica::heartbeat(server).to_bytes())
+                    .map(|()| Phase::Forward(session)),
+                Ok(ReplicaRole::Subscribe) => {
+                    Stream::open(server, hub, session.sender, session.receiver, &state.ready)
+                        .map(|stream| Phase::Subscriber(Box::new(stream)))
+                }
+            };
+            let Ok(phase) = opened else { return Step::Close };
+            state.phase = phase;
             Step::Continue
         }
+        _ => Step::Close,
+    }
+}
+
+/// Decodes and admits one client request read at `last_activity`:
+/// compute work when admitted, else the refusal (or malformed-message
+/// denial) to answer inline.
+fn admit(
+    state: &ConnState,
+    server: &CasServer,
+    chain: &MiddlewareChain,
+    raw: &[u8],
+) -> Result<Work, Message> {
+    let queued_for = state.ready.since_signal();
+    let Ok((message, inherited)) = Message::from_bytes_traced(raw) else {
+        return Err(Message::Denied { reason: "malformed message".into() });
+    };
+    if let Some(mut started) = server.tracer().begin(inherited) {
+        // How long the frame's readiness signal sat before this loop
+        // serviced it: the `queue` leg. Coarse (see `since_signal`) but
+        // exactly the wait admission control cannot see.
+        if let Some(waited) = queued_for {
+            started.record_queue(waited);
+        }
+        trace::install(started);
+    }
+    let request = server.admit(chain, message)?;
+    // `last_activity` was stamped when this raw frame was read — it is
+    // the request's receive instant for the end-to-end latency sample.
+    let request = Box::new(request);
+    Ok(Work::Request { request, received: state.last_activity, trace: trace::take() })
+}
+
+/// One raw frame of a connection that has no session: a handshake
+/// flight, or a status probe's view name. A completed handshake opens
+/// a client session, or a fleet session that waits for its hello.
+fn step_raw(state: &mut ConnState, server: &CasServer, listen: &Listen) -> Step {
+    let raw = match state.conn.try_recv() {
+        Ok(raw) => raw,
+        Err(NetError::Timeout) => return Step::Drained,
+        Err(_) => return Step::Close,
+    };
+    state.last_activity = Instant::now();
+    let Phase::Handshake { machine, rng } = &mut state.phase else {
+        let answered = state.conn.send(crate::status::probe_reply(server, &raw)).is_ok();
+        return if answered { Step::Continue } else { Step::Close };
+    };
+    // Handshake flights stay on the loop, KEM decapsulation included.
+    // That is not free: a CRT decapsulation under an RSA-1024 channel
+    // key costs ≈0.12 ms on a 2-vCPU x86-64 host with AVX-512 IFMA,
+    // both halves on this thread (`ablation/rsa-crt/kem-decapsulate-crt`;
+    // ≈0.26 ms on the portable kernel, which offers one half to a
+    // helper thread), during which this loop's other connections wait.
+    match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
+        Ok(None) => Step::Continue,
+        Ok(Some(channel)) => {
+            let transcript = channel.transcript();
+            let (sender, receiver) = channel.split();
+            let Phase::Handshake { rng, .. } = std::mem::replace(&mut state.phase, Phase::Busy)
+            else {
+                return Step::Close;
+            };
+            let session =
+                Box::new(Session { sender, receiver, transcript, outstanding_nonce: None, rng });
+            state.phase = match listen {
+                Listen::Replication(_) => Phase::Hello(session),
+                Listen::Clients { .. } | Listen::Status => Phase::Idle(session),
+            };
+            Step::Continue
+        }
+        Err(_) => Step::Close,
     }
 }
 

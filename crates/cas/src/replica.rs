@@ -14,7 +14,10 @@
 //! [`ReplicationFrame::Records`] batches through the same idempotent
 //! [`apply_record`] path restart recovery uses, journaling each batch
 //! locally *before* applying it. Replication is therefore not a
-//! second consistency mechanism: it is crash recovery, streamed.
+//! second consistency mechanism: it is crash recovery, streamed. On the
+//! primary, each subscriber stream and forward session is a connection
+//! kind on a reactor ([`crate::reactor`]); the follower's pump, which
+//! dials out, is its own thread.
 //!
 //! Followers serve **read-mostly traffic locally** — ping, challenge,
 //! quote verification, policy retrieval, baseline attestation — and
@@ -81,7 +84,8 @@
 //!
 //! [`apply_record`]: sinclave::verifier::SingletonIssuer::apply_record
 
-use crate::server::{CasServer, ServeGuard};
+use crate::reactor::{spawn_reactor, Listen, Step};
+use crate::server::CasServer;
 use crate::trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,17 +94,19 @@ use sinclave::replication::{ReplicaRole, ReplicationFrame, WireSpan};
 use sinclave::snapshot::IssuerSnapshot;
 use sinclave::AttestationToken;
 use sinclave_crypto::sha256::Digest;
-use sinclave_net::{Backoff, Connection, NetError, Network, SecureChannel};
+use sinclave_net::{
+    Backoff, ChannelReceiver, ChannelSender, NetError, Network, Readiness, SecureChannel,
+};
 use sinclave_sgx::measurement::Measurement;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a subscriber session waits for a fresh batch before
-/// sending a liveness heartbeat instead.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
+/// How long a subscriber stream may go without a frame before the
+/// reactor's timer wheel sends a liveness heartbeat.
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
 
 /// The follower pump's receive poll: bounds how long a stop request
 /// waits on an idle stream.
@@ -111,53 +117,28 @@ const PUMP_POLL: Duration = Duration::from_millis(20);
 const FORWARD_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One registered replication subscriber: a queue of sealed batch
-/// payloads in commit order, fed by [`ReplicationHub::publish`].
+/// payloads in commit order, each with the last journal sequence it
+/// carries, fed by [`ReplicationHub::publish`]. Its [`Stream`] owns it;
+/// the hub holds it weakly, so a closed stream unsubscribes.
 struct Subscriber {
-    queue: std::sync::Mutex<VecDeque<Vec<u8>>>,
-    ready: std::sync::Condvar,
-    /// Set when the serving session ends; the hub prunes closed
-    /// subscribers on the next publish.
-    closed: AtomicBool,
+    queue: parking_lot::Mutex<VecDeque<(u64, Vec<u8>)>>,
+    /// The subscriber connection's readiness handle on its event loop:
+    /// a publish signals it, and the loop writes what is queued.
+    ready: Arc<Readiness>,
     /// Lag gauges for the `trace` status view: the highest journal
-    /// sequence the session had streamed past as of its last frame,
-    /// and when (trace-clock ns) that frame was written.
-    sent_seq: std::sync::atomic::AtomicU64,
-    last_frame_ns: std::sync::atomic::AtomicU64,
+    /// sequence the stream has written (its baseline's, then each
+    /// batch's own last), and when (trace-clock ns) it last wrote a
+    /// frame.
+    sent_seq: AtomicU64,
+    last_frame_ns: AtomicU64,
 }
 
-impl Subscriber {
-    /// The next queued batch, or `None` after `timeout` with an empty
-    /// queue (the session sends a heartbeat and asks again).
-    fn next(&self, timeout: Duration) -> Option<Vec<u8>> {
-        // A poisoned queue degrades to "nothing queued": the session
-        // heartbeats and retries rather than unwinding the follower's
-        // stream thread. The queue itself is a VecDeque of complete
-        // payloads, so a recovered guard never exposes a torn value.
-        let queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mut queue, _timed_out) = self
-            .ready
-            .wait_timeout_while(queue, timeout, |queue| queue.is_empty())
-            .unwrap_or_else(PoisonError::into_inner);
-        queue.pop_front()
-    }
-}
-
-/// Ends the subscription when the serving session unwinds, however it
-/// exits — the hub stops queueing for it.
-struct CloseOnDrop<'a>(&'a Subscriber);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.closed.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Fans committed journal batches out to live subscriber sessions.
+/// Fans committed journal batches out to live subscriber streams.
 /// The publish side is called from inside the commit pipe's
 /// serialized flush, so every subscriber observes batches in sequence
 /// order with no gaps between registration and its bootstrap capture.
 pub struct ReplicationHub {
-    subscribers: parking_lot::Mutex<Vec<Arc<Subscriber>>>,
+    subscribers: parking_lot::Mutex<Vec<Weak<Subscriber>>>,
 }
 
 impl ReplicationHub {
@@ -165,29 +146,28 @@ impl ReplicationHub {
         Arc::new(ReplicationHub { subscribers: parking_lot::Mutex::new(Vec::new()) })
     }
 
-    fn register(&self) -> Arc<Subscriber> {
+    fn register(&self, ready: Arc<Readiness>) -> Arc<Subscriber> {
         let subscriber = Arc::new(Subscriber {
-            queue: std::sync::Mutex::new(VecDeque::new()),
-            ready: std::sync::Condvar::new(),
-            closed: AtomicBool::new(false),
-            sent_seq: std::sync::atomic::AtomicU64::new(0),
-            last_frame_ns: std::sync::atomic::AtomicU64::new(0),
+            queue: parking_lot::Mutex::new(VecDeque::new()),
+            ready,
+            sent_seq: AtomicU64::new(0),
+            last_frame_ns: AtomicU64::new(0),
         });
-        self.subscribers.lock().push(subscriber.clone());
+        self.subscribers.lock().push(Arc::downgrade(&subscriber));
         subscriber
     }
 
     /// Per-subscriber lag gauges for the `trace` status view:
     /// `(sent_seq, queued_batches, stream_age_ns)` for every live
-    /// session, in registration order.
+    /// stream, in registration order.
     pub(crate) fn peer_gauges(&self) -> Vec<(u64, u64, u64)> {
         let now = trace::now_ns();
         let subscribers = self.subscribers.lock();
         subscribers
             .iter()
-            .filter(|s| !s.closed.load(Ordering::Relaxed))
+            .filter_map(Weak::upgrade)
             .map(|s| {
-                let queued = s.queue.lock().unwrap_or_else(PoisonError::into_inner).len() as u64;
+                let queued = s.queue.lock().len() as u64;
                 let last = s.last_frame_ns.load(Ordering::Relaxed);
                 let age = if last == 0 { 0 } else { now.saturating_sub(last) };
                 (s.sent_seq.load(Ordering::Relaxed), queued, age)
@@ -195,30 +175,28 @@ impl ReplicationHub {
             .collect()
     }
 
-    /// Queues one sealed batch payload for every live subscriber.
-    pub(crate) fn publish(&self, payload: &[u8]) {
-        let mut subscribers = self.subscribers.lock();
-        subscribers.retain(|s| !s.closed.load(Ordering::Relaxed));
-        for subscriber in subscribers.iter() {
-            // Publishing runs inside the commit pipe's serialized
-            // flush; a poisoned per-subscriber queue must not take the
-            // whole fan-out down, so recover the guard and keep going.
-            subscriber
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(payload.to_vec());
-            subscriber.ready.notify_one();
-        }
+    /// Queues one sealed batch payload, whose last record has journal
+    /// sequence `last_seq`, for every live subscriber and wakes its
+    /// stream; subscribers whose stream closed are dropped.
+    pub(crate) fn publish(&self, payload: &[u8], last_seq: u64) {
+        self.subscribers.lock().retain(|subscriber| {
+            let Some(subscriber) = subscriber.upgrade() else { return false };
+            subscriber.queue.lock().push_back((last_seq, payload.to_vec()));
+            subscriber.ready.signal();
+            true
+        });
     }
 }
 
 /// Serves `sessions` replication sessions on `addr` — subscriber
 /// streams and forward (write-linearization) sessions, dispatched by
-/// the opening `Hello`'s role. Installs the publish hub on the
-/// server; live commits stream to subscribers from then on. The
-/// returned handle joins once all session slots have been served (or
-/// their accepts timed out), and uninstalls the hub.
+/// the opening `Hello`'s role — as connection kinds on a reactor with
+/// one event loop and one compute worker (see [`crate::reactor`]).
+/// Installs the publish hub on the server; live commits stream to
+/// subscribers from then on. The returned handle joins once all
+/// session slots have been served (or accepting timed out after
+/// [`sinclave_net::bus::RECV_TIMEOUT`] without a dial) and every
+/// session has closed, and uninstalls the hub.
 #[must_use]
 pub fn serve_replication(
     server: &Arc<CasServer>,
@@ -229,173 +207,147 @@ pub fn serve_replication(
 ) -> JoinHandle<()> {
     let hub = ReplicationHub::new();
     server.set_replication_hub(Some(hub.clone()));
-    let listener = Arc::new(network.listen(addr));
-    let guard = ServeGuard::register(server);
-    let server = server.clone();
-    std::thread::spawn(move || {
-        let _serving = guard;
-        std::thread::scope(|scope| {
-            for slot in 0..sessions {
-                let Some(conn) = server.accept_drainable(&listener) else { break };
-                let server = &server;
-                let hub = &hub;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(slot as u64));
-                    let _ = serve_session(server, hub, conn, &mut rng);
-                });
-            }
-        });
-        server.set_replication_hub(None);
-    })
+    spawn_reactor(server, network, addr, Listen::Replication(hub), sessions, seed)
 }
 
-/// One replication session: handshake, hello, then role dispatch.
-fn serve_session(
-    server: &CasServer,
-    hub: &ReplicationHub,
-    conn: Connection,
-    rng: &mut StdRng,
-) -> Result<(), NetError> {
-    let mut chan = SecureChannel::server_accept(conn, &server.channel_key, rng)?;
-    let raw = chan.recv()?;
+/// Reads a replication session's opening frame: the role it asks for,
+/// or the frame to answer before hanging up. The hello's fence is an
+/// observation either way: a peer that has seen a fence above ours
+/// deposes us on the spot — before any baseline capture or forwarded
+/// write could happen under stale authority.
+pub(crate) fn hello(server: &CasServer, raw: &[u8]) -> Result<ReplicaRole, ReplicationFrame> {
     let Ok(ReplicationFrame::Hello { role, last_seq: _, fence }) =
-        ReplicationFrame::from_bytes(&raw)
+        ReplicationFrame::from_bytes(raw)
     else {
         server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
         let reason = "replication session must open with hello".to_owned();
-        let _ = chan.send(&ReplicationFrame::Denied { reason }.to_bytes());
-        return Ok(());
+        return Err(ReplicationFrame::Denied { reason });
     };
-    // The hello's fence is an observation either way: a peer that has
-    // seen a fence above ours deposes us on the spot — before any
-    // baseline capture or forwarded write could happen under stale
-    // authority.
     if server.observe_fence(fence) {
-        let fenced = ReplicationFrame::Fenced { fence: server.fence_ceiling() };
-        let _ = chan.send(&fenced.to_bytes());
-        return Ok(());
+        return Err(ReplicationFrame::Fenced { fence: server.fence_ceiling() });
     }
-    match role {
-        ReplicaRole::Subscribe => serve_subscriber(server, hub, &mut chan),
-        ReplicaRole::Forward => serve_forwarder(server, &mut chan, rng),
-    }
+    Ok(role)
 }
 
-/// Streams the baseline and then live batches to one subscriber.
-fn serve_subscriber(
-    server: &CasServer,
-    hub: &ReplicationHub,
-    chan: &mut SecureChannel,
-) -> Result<(), NetError> {
-    // Register FIRST, then capture: a commit landing between the two
-    // shows up in both the baseline and the queue, and the follower's
-    // idempotent sequence filter drops the duplicate. The other order
-    // could lose the batch entirely.
-    let subscriber = hub.register();
-    let _closing = CloseOnDrop(&subscriber);
-    let snapshot = server.store().restore_state().ok().flatten().unwrap_or_default();
-    let baseline_seq =
-        IssuerSnapshot::from_bytes(&snapshot).map_or(0, |parsed| parsed.journal_sequence);
-    let chunks: Vec<Vec<u8>> = server
-        .store()
-        .export_journal_chunks()
-        .map(|recovery| recovery.chunks.into_iter().map(|chunk| chunk.payload).collect())
-        .unwrap_or_default();
-    let baseline = ReplicationFrame::Baseline {
-        fence: server.fence(),
-        high_seq: server.journal_sequence(),
-        baseline_seq,
-        snapshot,
-        chunks,
-    };
-    chan.send(&baseline.to_bytes())?;
-    loop {
-        // Shutdown drains subscriber streams cleanly: the ≤20ms
-        // heartbeat cadence bounds how long a drain waits on this
-        // session.
-        if server.is_draining() {
-            return Ok(());
+/// A liveness frame: this server's fence and high journal sequence.
+/// Also the ack of a forward session's hello.
+pub(crate) fn heartbeat(server: &CasServer) -> ReplicationFrame {
+    ReplicationFrame::Heartbeat { fence: server.fence(), high_seq: server.journal_sequence() }
+}
+
+/// A subscriber stream on the reactor: the channel's two halves plus
+/// the hub registration, which ends when the stream is dropped.
+pub(crate) struct Stream {
+    sender: ChannelSender,
+    receiver: ChannelReceiver,
+    subscriber: Arc<Subscriber>,
+}
+
+impl Stream {
+    /// Subscribes the connection watched by `ready` and writes its
+    /// baseline. Registers FIRST, then captures: a commit landing
+    /// between the two shows up in both the baseline and the queue, and
+    /// the follower's idempotent sequence filter drops the duplicate.
+    /// The other order could lose the batch entirely.
+    ///
+    /// # Errors
+    ///
+    /// The baseline could not be written; the connection closes.
+    pub(crate) fn open(
+        server: &CasServer,
+        hub: &ReplicationHub,
+        sender: ChannelSender,
+        receiver: ChannelReceiver,
+        ready: &Arc<Readiness>,
+    ) -> Result<Stream, NetError> {
+        let subscriber = hub.register(ready.clone());
+        let snapshot = server.store().restore_state().ok().flatten().unwrap_or_default();
+        let baseline_seq =
+            IssuerSnapshot::from_bytes(&snapshot).map_or(0, |parsed| parsed.journal_sequence);
+        let chunks: Vec<Vec<u8>> = server
+            .store()
+            .export_journal_chunks()
+            .map(|recovery| recovery.chunks.into_iter().map(|chunk| chunk.payload).collect())
+            .unwrap_or_default();
+        let high_seq = server.journal_sequence();
+        let baseline = ReplicationFrame::Baseline {
+            fence: server.fence(),
+            high_seq,
+            baseline_seq,
+            snapshot,
+            chunks,
+        };
+        let mut stream = Stream { sender, receiver, subscriber };
+        stream.sender.send(&baseline.to_bytes())?;
+        stream.wrote(high_seq);
+        Ok(stream)
+    }
+
+    /// Writes the oldest queued batch: `Continue` after a write,
+    /// `Drained` with nothing queued, `Close` once the follower hung
+    /// up or the stream ended. The follower sends nothing after its
+    /// hello, so its input is read only to notice a hang-up.
+    pub(crate) fn write_next(&mut self, server: &CasServer) -> Step {
+        loop {
+            match self.receiver.try_recv() {
+                Ok(_) => {}
+                Err(NetError::Timeout) => break,
+                Err(_) => return Step::Close,
+            }
         }
-        // A primary deposed mid-stream tells its subscribers before
-        // going quiet, so they reconnect (and find the new primary)
-        // instead of trusting a stale stream.
+        let Some((seq, batch)) = self.subscriber.queue.lock().pop_front() else {
+            return Step::Drained;
+        };
+        self.write(server, &ReplicationFrame::Records { fence: server.fence(), batch }, seq)
+    }
+
+    /// Writes a liveness heartbeat: the reactor's timer wheel calls
+    /// this once the stream has been quiet for [`HEARTBEAT_INTERVAL`].
+    pub(crate) fn heartbeat(&mut self, server: &CasServer) -> Step {
+        self.write(server, &heartbeat(server), 0)
+    }
+
+    /// The fence is checked before every frame: a primary deposed
+    /// mid-stream tells its subscriber before going quiet, so the
+    /// follower reconnects (and finds the new primary) instead of
+    /// trusting a stale stream.
+    fn write(&mut self, server: &CasServer, frame: &ReplicationFrame, seq: u64) -> Step {
         if server.is_fenced() {
             let fenced = ReplicationFrame::Fenced { fence: server.fence_ceiling() };
-            let _ = chan.send(&fenced.to_bytes());
-            return Ok(());
+            let _ = self.sender.send(&fenced.to_bytes());
+            return Step::Close;
         }
-        let frame = match subscriber.next(HEARTBEAT_INTERVAL) {
-            Some(batch) => ReplicationFrame::Records { fence: server.fence(), batch },
-            None => ReplicationFrame::Heartbeat {
-                fence: server.fence(),
-                high_seq: server.journal_sequence(),
-            },
-        };
-        chan.send(&frame.to_bytes())?;
-        subscriber.sent_seq.store(server.journal_sequence(), Ordering::Relaxed);
-        subscriber.last_frame_ns.store(trace::now_ns(), Ordering::Relaxed);
+        if self.sender.send(&frame.to_bytes()).is_err() {
+            return Step::Close;
+        }
+        self.wrote(seq);
+        Step::Continue
+    }
+
+    /// Records a frame written to the follower that covered journal
+    /// sequences up to `seq` (`0`: it carried none).
+    fn wrote(&self, seq: u64) {
+        self.subscriber.sent_seq.fetch_max(seq, Ordering::Relaxed);
+        self.subscriber.last_frame_ns.store(trace::now_ns(), Ordering::Relaxed);
     }
 }
 
-/// Answers forwarded writes from one follower, request–response.
-fn serve_forwarder(
+/// Answers one frame of a forward session on the primary; the reactor
+/// runs this on its compute pool. Forwarded grants go through the full
+/// admission + dispatch path (so rate limits, quotas, panic isolation
+/// and the breaker all hold at the primary no matter which replica a
+/// client talked to); redemptions go straight to the durable
+/// exactly-once path.
+pub(crate) fn forward_reply(
     server: &CasServer,
-    chan: &mut SecureChannel,
-    rng: &mut StdRng,
-) -> Result<(), NetError> {
-    // Ack the hello so the link knows the session is live.
-    let ack =
-        ReplicationFrame::Heartbeat { fence: server.fence(), high_seq: server.journal_sequence() };
-    chan.send(&ack.to_bytes())?;
-    let transcript = chan.transcript();
-    // Poll the receive in short slices so a shutdown drains this
-    // session within one slice; the transport's default budget still
-    // bounds how long an idle forwarder stays parked.
-    chan.set_recv_timeout(Some(PUMP_POLL));
-    let mut last_frame = std::time::Instant::now();
-    loop {
-        let raw = match chan.recv() {
-            Ok(raw) => raw,
-            Err(NetError::Timeout) => {
-                let idle = last_frame.elapsed() >= sinclave_net::bus::RECV_TIMEOUT;
-                if server.is_draining() || idle {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        last_frame = std::time::Instant::now();
-        let reply = match ReplicationFrame::from_bytes(&raw) {
-            Ok(frame) => forward_reply(server, frame, &transcript, rng),
-            Err(_) => {
-                server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
-                ReplicationFrame::Denied { reason: "malformed replication frame".into() }
-            }
-        };
-        // Claimed before the reply leaves and run after it, as on the
-        // reactor's compute workers.
-        let checkpoint = server.checkpoint.claim_due();
-        let sent = chan.send(&reply.to_bytes());
-        if checkpoint {
-            let _ = server.checkpoint.run(server);
-        }
-        sent?;
-    }
-}
-
-/// Dispatches one forwarded write on the primary. Forwarded grants go
-/// through the full admission + dispatch path (so rate limits,
-/// quotas, panic isolation and the breaker all hold at the primary no
-/// matter which replica a client talked to); redemptions go straight
-/// to the durable exactly-once path.
-fn forward_reply(
-    server: &CasServer,
-    frame: ReplicationFrame,
+    raw: &[u8],
     transcript: &Digest,
     rng: &mut StdRng,
 ) -> ReplicationFrame {
+    let Ok(frame) = ReplicationFrame::from_bytes(raw) else {
+        server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
+        return ReplicationFrame::Denied { reason: "malformed replication frame".into() };
+    };
     if server.is_fenced() {
         return ReplicationFrame::Fenced { fence: server.fence_ceiling() };
     }
@@ -736,5 +688,61 @@ impl ForwardLink {
             ReplicationFrame::Heartbeat { .. } => Some(chan),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{ReplicationHub, Stream};
+    use crate::reactor::Step;
+    use crate::server::CasServer;
+    use crate::store::CasStore;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sinclave::journal_record::{decode_batch, JournalRecord};
+    use sinclave::replication::ReplicationFrame;
+    use sinclave_crypto::aead::AeadKey;
+    use sinclave_crypto::rsa::RsaPrivateKey;
+    use sinclave_net::{Connection, Poller, SecureChannel};
+
+    #[test]
+    fn lag_gauge_reports_the_last_written_batch_not_the_journal_head() {
+        let mut rng = StdRng::seed_from_u64(0x1a9);
+        let mut key = || RsaPrivateKey::generate(&mut rng, 1024).unwrap();
+        let (channel_key, signer_key, root) = (key(), key(), key());
+        let server = CasServer::new(
+            channel_key.clone(),
+            signer_key,
+            root.public_key().clone(),
+            CasStore::create(AeadKey::new([7; 32])),
+        );
+        let (client_end, server_end) = Connection::pair();
+        let accepting = std::thread::spawn(move || {
+            SecureChannel::server_accept(server_end, &channel_key, &mut StdRng::seed_from_u64(1))
+        });
+        let mut follower =
+            SecureChannel::client_connect(client_end, &mut StdRng::seed_from_u64(2)).unwrap();
+        let (sender, receiver) = accepting.join().unwrap().unwrap().split();
+
+        let hub = ReplicationHub::new();
+        server.set_replication_hub(Some(hub.clone()));
+        let ready = Poller::new().readiness(7);
+        let mut stream = Stream::open(&server, &hub, sender, receiver, &ready).unwrap();
+        for fill in 1..=3 {
+            server.commit_record(JournalRecord::TokenRedeemed { token: [fill; 32] }).unwrap();
+        }
+        assert_eq!(server.journal_sequence(), 3);
+        assert!(matches!(stream.write_next(&server), Step::Continue));
+
+        let (sent_seq, queued, _) = hub.peer_gauges()[0];
+        assert_eq!((sent_seq, queued), (1, 2), "the gauge must trail the queued batches");
+        let baseline = ReplicationFrame::from_bytes(&follower.recv().unwrap()).unwrap();
+        assert!(matches!(baseline, ReplicationFrame::Baseline { high_seq: 0, .. }));
+        let ReplicationFrame::Records { batch, .. } =
+            ReplicationFrame::from_bytes(&follower.recv().unwrap()).unwrap()
+        else {
+            panic!("expected the first batch");
+        };
+        assert_eq!(decode_batch(&batch).records[0].seq, 1);
     }
 }

@@ -123,7 +123,7 @@ use sinclave::{AttestationToken, BaseEnclaveHash, SinclaveError};
 use sinclave_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use sinclave_crypto::sha256::Digest;
 use sinclave_fs::journal::JournalDamage;
-use sinclave_net::{Connection, NetError, Readiness};
+use sinclave_net::Readiness;
 use sinclave_sgx::measurement::Measurement;
 use sinclave_sgx::quote::Quote;
 use sinclave_sgx::report::ReportBody;
@@ -371,8 +371,8 @@ pub struct CasServer {
     /// Stop flags of follower pumps attached to this server, raised at
     /// shutdown so followers unsubscribe cleanly.
     drain_stops: parking_lot::Mutex<Vec<Weak<AtomicBool>>>,
-    /// Live serving threads (reactor, replication listener). [`CasServer::shutdown`] waits for this to reach
-    /// zero before persisting.
+    /// Live reactors; [`CasServer::shutdown`] waits for none to be left
+    /// before persisting.
     active_serves: AtomicU64,
     /// The `journal_append_failed` count the last health probe saw —
     /// the probe reports Degraded while the counter moves between
@@ -389,21 +389,16 @@ impl fmt::Debug for CasServer {
     }
 }
 
-/// How often drain-aware accept loops poll for new connections — the
-/// upper bound on how long a parked acceptor takes to notice
-/// [`CasServer::shutdown`]. Matches the follower pump's poll interval.
-pub(crate) const DRAIN_POLL: Duration = Duration::from_millis(20);
-
-/// RAII registration of one serving thread with its server. The count
-/// is taken in [`ServeGuard::register`] — *before* the serving thread
-/// spawns, so a [`CasServer::shutdown`] racing the spawn still waits
-/// for it — and released when the serving body ends, panics included.
+/// RAII registration of one reactor with its server: taken *before*
+/// its thread spawns, so a [`CasServer::shutdown`] racing the spawn
+/// still waits for it, and released when the reactor ends, panics
+/// included.
 pub(crate) struct ServeGuard {
     server: Arc<CasServer>,
 }
 
 impl ServeGuard {
-    /// Registers one serving thread; move the guard into that thread.
+    /// Registers one reactor; move the guard into its thread.
     pub(crate) fn register(server: &Arc<CasServer>) -> ServeGuard {
         server.active_serves.fetch_add(1, Ordering::SeqCst);
         ServeGuard { server: Arc::clone(server) }
@@ -698,10 +693,9 @@ impl CasServer {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests on
-    /// every serving thread (reactor, replication listener), stop
-    /// follower pumps, then persist the durable state
-    /// — so a clean stop restores from the snapshot with **zero**
-    /// journal replay instead of leaning on recovery.
+    /// every reactor (client, replication and status listeners), stop
+    /// follower pumps, then persist the durable state — so a clean
+    /// stop restores from the snapshot with **zero** journal replay.
     ///
     /// The commit pipe needs no separate flush: commits are
     /// synchronous within request handling, so once the serving
@@ -1306,8 +1300,11 @@ impl CasServer {
             return Ok(());
         }
         let hub = self.replication.read().clone();
-        let result =
-            self.pipe.commit(mode == JournalMode::GroupCommit, record, &self.stats, |payload| {
+        let result = self.pipe.commit(
+            mode == JournalMode::GroupCommit,
+            record,
+            &self.stats,
+            |payload, last_seq| {
                 let flushing = Instant::now();
                 self.store.append_journal(payload)?;
                 // One sample per sealed batch (the group-commit flush
@@ -1321,11 +1318,12 @@ impl CasServer {
                 // disk. Flushes are serialized by the pipe, so
                 // subscribers observe batches in sequence order.
                 if let Some(hub) = &hub {
-                    hub.publish(payload);
+                    hub.publish(payload, last_seq);
                     self.stats.replication_batches_streamed.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(())
-            });
+            },
+        );
         self.middleware.read().record_commit(result.is_ok());
         result
     }
@@ -1370,26 +1368,6 @@ impl CasServer {
     #[must_use]
     pub fn default_workers() -> usize {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
-    }
-
-    /// Accepts one connection with drain awareness: the transport's
-    /// default accept budget ([`sinclave_net::bus::RECV_TIMEOUT`]) is
-    /// spent in [`DRAIN_POLL`] slices so a thread parked in accept
-    /// notices [`CasServer::shutdown`] within one slice instead of the
-    /// full budget. `None` means stop serving — draining, or the
-    /// budget timed out with no dialer.
-    pub(crate) fn accept_drainable(&self, listener: &sinclave_net::Listener) -> Option<Connection> {
-        let deadline = Instant::now() + sinclave_net::bus::RECV_TIMEOUT;
-        loop {
-            if self.is_draining() {
-                return None;
-            }
-            match listener.accept_timeout(DRAIN_POLL) {
-                Ok(conn) => return Some(conn),
-                Err(NetError::Timeout) if Instant::now() < deadline => {}
-                Err(_) => return None,
-            }
-        }
     }
 
     /// The dispatch entry for admitted requests. When the chain

@@ -30,13 +30,13 @@
 //! flight recorder's ring locks (all off the hot path) — a probe never
 //! touches the volume, the journal, or the issuer's shards.
 
-use crate::server::{CasServer, ServeGuard, DRAIN_POLL};
+use crate::reactor::{spawn_reactor, Listen};
+use crate::server::CasServer;
 use crate::trace::{CompletedTrace, Span};
-use sinclave_net::{NetError, Network};
+use sinclave_net::Network;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// The health verdict the status wire serves (computed by
 /// [`CasServer::health`]).
@@ -243,12 +243,22 @@ fn render_span_tree(out: &mut String, trace: &CompletedTrace) {
     }
 }
 
+/// Answers one probe frame: the raw frame is a view name, the answer
+/// the rendered view (`error: unknown view` for any other name).
+pub(crate) fn probe_reply(server: &CasServer, raw: &[u8]) -> Vec<u8> {
+    let view = String::from_utf8_lossy(raw);
+    status_body(server, view.as_ref()).unwrap_or_else(|| "error: unknown view\n".to_owned()).into()
+}
+
 /// Serves the plaintext status endpoint on `addr`: up to `probes`
 /// probe connections, each a loop of raw view-name frames answered
-/// with rendered view frames (unknown views answer `error: unknown
-/// view`). Drain-aware like every serving path — [`CasServer::shutdown`]
-/// stops the accept loop within one 20 ms drain-poll slice, and the
-/// returned handle then joins.
+/// with rendered view frames (see [`status_body`]). Probes are a
+/// connection kind on a reactor with one event loop and no compute
+/// worker (see [`crate::reactor`]): rendering is microseconds of
+/// atomic reads, so each probe is answered on the loop and a silent
+/// probe delays no other (it is hung up after
+/// [`sinclave_net::bus::RECV_TIMEOUT`]). After [`CasServer::shutdown`]
+/// the returned handle joins.
 #[must_use]
 pub fn serve_status(
     server: &Arc<CasServer>,
@@ -256,58 +266,46 @@ pub fn serve_status(
     addr: &str,
     probes: usize,
 ) -> JoinHandle<()> {
-    let listener = network.listen(addr);
-    let server = Arc::clone(server);
-    let guard = ServeGuard::register(&server);
-    std::thread::spawn(move || {
-        let _serving = guard;
-        // Each served probe renews the accept budget; only a stretch
-        // of transport-default silence retires the listener early.
-        let mut deadline = Instant::now() + sinclave_net::bus::RECV_TIMEOUT;
-        let mut served = 0;
-        while served < probes {
-            if server.is_draining() {
-                return;
-            }
-            let conn = match listener.accept_timeout(DRAIN_POLL) {
-                Ok(conn) => {
-                    deadline = Instant::now() + sinclave_net::bus::RECV_TIMEOUT;
-                    conn
-                }
-                Err(NetError::Timeout) if Instant::now() < deadline => continue,
-                Err(_) => return,
-            };
-            served += 1;
-            // One probe at a time: rendering is microseconds of atomic
-            // reads, so a sequential loop cannot back up, and a probe
-            // fleet cannot fan threads out of the status plane.
-            conn.set_recv_timeout(Some(DRAIN_POLL));
-            let mut last_activity = Instant::now();
-            loop {
-                if server.is_draining() {
-                    return;
-                }
-                let raw = match conn.recv() {
-                    Ok(raw) => {
-                        last_activity = Instant::now();
-                        raw
-                    }
-                    // An idle-but-connected probe must not starve the
-                    // next one forever: transport-default idle hangs up.
-                    Err(NetError::Timeout)
-                        if last_activity.elapsed() < sinclave_net::bus::RECV_TIMEOUT =>
-                    {
-                        continue
-                    }
-                    Err(_) => break, // probe hung up (or idled out)
-                };
-                let view = String::from_utf8_lossy(&raw);
-                let body = status_body(&server, view.as_ref())
-                    .unwrap_or_else(|| "error: unknown view\n".to_owned());
-                if conn.send(body.into_bytes()).is_err() {
-                    break;
-                }
-            }
-        }
-    })
+    spawn_reactor(server, network, addr, Listen::Status, probes, 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::serve_status;
+    use crate::server::CasServer;
+    use crate::store::CasStore;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sinclave_crypto::aead::AeadKey;
+    use sinclave_crypto::rsa::RsaPrivateKey;
+    use sinclave_net::Network;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_silent_probe_does_not_delay_the_next_one() {
+        let mut rng = StdRng::seed_from_u64(0x51);
+        let mut key = || RsaPrivateKey::generate(&mut rng, 1024).unwrap();
+        let (channel_key, signer_key, root) = (key(), key(), key());
+        let server = CasServer::new(
+            channel_key,
+            signer_key,
+            root.public_key().clone(),
+            CasStore::create(AeadKey::new([7; 32])),
+        );
+        let network = Network::new();
+        let listener = serve_status(&server, &network, "status", 2);
+        // Accepted first, then never speaks.
+        let silent = network.connect("status").unwrap();
+        let probe = network.connect("status").unwrap();
+        // Long enough to measure a stall rather than fail on it.
+        probe.set_recv_timeout(Some(Duration::from_secs(30)));
+        let asked = Instant::now();
+        probe.send(b"health".to_vec()).unwrap();
+        let body = String::from_utf8(probe.recv().unwrap()).unwrap();
+        let waited = asked.elapsed();
+        assert!(body.starts_with("status: healthy\n"), "{body}");
+        assert!(waited < Duration::from_secs(1), "the health reply took {waited:?}");
+        drop((silent, probe));
+        listener.join().unwrap();
+    }
 }
