@@ -61,10 +61,8 @@ use std::time::{Duration, Instant};
 /// What a reactor's listener serves: it fixes the first phase of every
 /// connection the listener accepts, and the reactor's thread counts.
 pub(crate) enum Listen {
-    Clients {
-        loops: usize,
-        workers: usize,
-    },
+    /// CAS clients, on `loops` event loops and `workers` compute workers.
+    Clients { loops: usize, workers: usize },
     /// Fleet peers; subscribers register on this hub. One loop and one
     /// compute worker, which the forwarded writes of every follower share.
     Replication(Arc<ReplicationHub>),
@@ -88,10 +86,7 @@ struct Session {
 enum Phase {
     /// Driving the secure-channel handshake; the RNG lives here until
     /// the session exists.
-    Handshake {
-        machine: ServerHandshake,
-        rng: StdRng,
-    },
+    Handshake { machine: ServerHandshake, rng: StdRng },
     /// A client session with no request in flight.
     Idle(Box<Session>),
     /// A fleet peer's session, waiting for its hello.
@@ -102,17 +97,18 @@ enum Phase {
     /// compute pool (which holds the session); further readiness events
     /// are deferred until the completion re-enqueues the connection.
     Busy,
+    /// A subscriber stream.
     Subscriber(Box<Stream>),
+    /// A status probe.
     Probe,
 }
 
 struct ConnState {
     conn: Arc<Connection>,
     phase: Phase,
-    /// The readiness handle watching `conn`, kept so the loop can read
-    /// how long the event it is servicing sat queued
-    /// ([`Readiness::since_signal`] — the traced `queue` leg) and so a
-    /// subscriber can hand it to the replication hub.
+    /// The readiness handle watching `conn`: it tells how long an event
+    /// sat queued ([`Readiness::since_signal`], the traced `queue` leg),
+    /// and a subscriber hands it to the replication hub.
     ready: Arc<Readiness>,
     /// When the last peer flight was received (or the connection
     /// accepted; for a subscriber, when the last frame was written);
@@ -499,9 +495,8 @@ impl EventLoop<'_> {
             && self.all_inboxes[self.id].lock().is_empty()
     }
 
-    /// When the deadline of the connection's phase passes, if it has
-    /// one. Past it, a subscriber stream gets a heartbeat and any other
-    /// connection hangs up.
+    /// When the connection's phase deadline passes, if it has one: then
+    /// a subscriber stream gets a heartbeat and any other peer hangs up.
     fn deadline(&self, state: &ConnState) -> Option<Instant> {
         let config = self.chain.config();
         let timeout = match (&state.phase, self.listen) {
@@ -734,11 +729,9 @@ fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnStat
     conns.get_mut(conn_index(token)?)?.as_mut()
 }
 
-/// One step of a connection's state machine (a free function so the
-/// borrow of the connection stays disjoint from the loop's other
-/// fields). Handshake flights, hellos, probes and subscriber frames
-/// run inline; an admitted request or a forwarded frame checks the
-/// session out to the compute pool through `offload`.
+/// One step of a connection's state machine. Handshake flights,
+/// hellos, probes and subscriber frames run inline; an admitted request
+/// or a forwarded frame checks the session out through `offload`.
 fn step_conn(
     state: &mut ConnState,
     server: &CasServer,
