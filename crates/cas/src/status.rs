@@ -9,8 +9,8 @@
 //!   spirit of an enclave runtime's `/healthz` endpoint: no handshake,
 //!   no identity, read-only — a probe (load balancer, fleet
 //!   controller, test harness) sends a view name as one raw frame and
-//!   receives the rendered view as one raw frame, rendered on a reactor
-//!   event loop where each probe is a connection kind.
+//!   receives the rendered view as one raw frame. Each probe is a
+//!   connection kind on a reactor, answered on its event loop.
 //!
 //! The four views:
 //!
