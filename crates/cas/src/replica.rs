@@ -248,7 +248,9 @@ impl Stream {
     /// baseline. Registers FIRST, then captures: a commit landing
     /// between the two shows up in both the baseline and the queue, and
     /// the follower's idempotent sequence filter drops the duplicate.
-    /// The other order could lose the batch entirely.
+    /// The other order could lose the batch entirely. This runs on the
+    /// replication reactor's event loop, so the capture's volume reads
+    /// delay that loop's other sessions.
     ///
     /// # Errors
     ///
