@@ -351,6 +351,11 @@ pub(crate) fn forward_reply(
         return ReplicationFrame::Denied { reason: "malformed replication frame".into() };
     };
     if server.is_fenced() {
+        // A forwarded grant or redemption is a write the fence refused;
+        // any other frame is not a write and is not counted.
+        if matches!(frame, ReplicationFrame::Forward { .. } | ReplicationFrame::Redeem { .. }) {
+            server.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
+        }
         return ReplicationFrame::Fenced { fence: server.fence_ceiling() };
     }
     match frame {
@@ -695,7 +700,7 @@ impl ForwardLink {
 
 #[cfg(test)]
 mod tests {
-    use super::{ReplicationHub, Stream};
+    use super::{forward_reply, ReplicationHub, Stream};
     use crate::reactor::Step;
     use crate::server::CasServer;
     use crate::store::CasStore;
@@ -705,11 +710,13 @@ mod tests {
     use sinclave::replication::ReplicationFrame;
     use sinclave_crypto::aead::AeadKey;
     use sinclave_crypto::rsa::RsaPrivateKey;
+    use sinclave_crypto::sha256::Digest;
     use sinclave_net::{Connection, Poller, SecureChannel};
+    use std::sync::Arc;
 
-    #[test]
-    fn lag_gauge_reports_the_last_written_batch_not_the_journal_head() {
-        let mut rng = StdRng::seed_from_u64(0x1a9);
+    /// A server on a fresh store, and its channel key.
+    fn server(seed: u64) -> (Arc<CasServer>, RsaPrivateKey) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut key = || RsaPrivateKey::generate(&mut rng, 1024).unwrap();
         let (channel_key, signer_key, root) = (key(), key(), key());
         let server = CasServer::new(
@@ -718,6 +725,27 @@ mod tests {
             root.public_key().clone(),
             CasStore::create(AeadKey::new([7; 32])),
         );
+        (server, channel_key)
+    }
+
+    #[test]
+    fn a_redemption_forwarded_to_a_deposed_primary_counts_one_fenced_write() {
+        let (server, _) = server(0x1aa);
+        assert!(server.observe_fence(1));
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut reply = |frame: &[u8]| forward_reply(&server, frame, &Digest([0; 32]), &mut rng);
+        let redeem = ReplicationFrame::Redeem { token: [3; 32], mrenclave: [4; 32] }.to_bytes();
+        assert!(matches!(reply(&redeem), ReplicationFrame::Fenced { fence: 1 }));
+        assert_eq!(server.stats.snapshot().writes_fenced, 1);
+        // Neither a malformed nor an unexpected frame is a write.
+        reply(&[0xff, 0x00]);
+        reply(&ReplicationFrame::Heartbeat { fence: 0, high_seq: 0 }.to_bytes());
+        assert_eq!(server.stats.snapshot().writes_fenced, 1);
+    }
+
+    #[test]
+    fn lag_gauge_reports_the_last_written_batch_not_the_journal_head() {
+        let (server, channel_key) = server(0x1a9);
         let (client_end, server_end) = Connection::pair();
         let accepting = std::thread::spawn(move || {
             SecureChannel::server_accept(server_end, &channel_key, &mut StdRng::seed_from_u64(1))
