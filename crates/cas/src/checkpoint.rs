@@ -156,14 +156,9 @@ impl Checkpointer {
     /// counted in `snapshot_persist_failed` and keeps
     /// [`Checkpointer::failing`] set until a checkpoint succeeds.
     pub(crate) fn run(&self, server: &CasServer) -> Result<(), SinclaveError> {
-        // A live subscriber must not checkpoint: the checkpoint record
-        // would take a fresh local sequence number and collide with
-        // the primary's stream. Promotion clears the flag.
-        if server.is_following() {
-            return Err(SinclaveError::JournalInvalid {
-                context: "replica does not checkpoint while following",
-            });
-        }
+        // A checkpoint is a write: on a follower its record would take
+        // a local sequence number that collides with the primary's.
+        server.route_write().local()?;
         let _checkpointing = self.persist_lock.lock();
         let epoch = server.issuer().mutation_epoch();
         if epoch == self.persisted_epoch.load(Ordering::Relaxed) {

@@ -274,7 +274,7 @@ pub(crate) fn spawn_reactor(
         let _serving = guard;
         run_reactor(&server, listener, &listen, connections, seed);
         if matches!(listen, Listen::Replication(_)) {
-            server.set_replication_hub(None);
+            server.change_role(|role| role.set_hub(None));
         }
     })
 }

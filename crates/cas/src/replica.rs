@@ -33,21 +33,27 @@
 //! Failover is **fenced by generation**, not by consensus: the
 //! deployment (here, the test harness) decides who is primary, and
 //! the fence makes a wrong or stale decision safe rather than
-//! split-brained.
+//! split-brained. Each server's `Role` is `Primary` (writes commit
+//! here) or `Follower` (writes forward over its link, or are refused
+//! without one); `CasServer::route_write` decides every write from the
+//! role and the fence pair. The transitions:
 //!
-//! * Every server carries its own fence (the highest it has committed
-//!   under) and a persisted *ceiling* (the highest it has ever
-//!   observed). `ceiling > own` means deposed: every write — grant,
-//!   redemption, checkpoint — is refused at the journal boundary.
-//! * [`CasServer::promote`](crate::CasServer::promote) bumps a
-//!   replica one past everything it has seen and commits the bump as
-//!   a durable [`JournalRecord::Fence`](sinclave::journal_record::JournalRecord)
-//!   record, continuing the primary's sequence numbering.
-//! * A replication `Hello` carries the sender's observed fence; a
-//!   primary that hears a higher one answers
-//!   [`ReplicationFrame::Fenced`], persists the observation, and is
-//!   deposed from that moment — even if it restarts from its
-//!   pre-failover disk image, the persisted ceiling keeps it fenced.
+//! * `follow` ([`follow`]) makes a server a follower before its pump
+//!   starts; `unfollow`, at the pump's exit, leaves a follower without
+//!   a link committing locally again.
+//! * `observe_fence`: every server carries its own fence (the highest
+//!   it has committed under) and a persisted *ceiling* (the highest it
+//!   has observed). `ceiling > own` means deposed: every write — grant,
+//!   redemption, checkpoint, forwarded write — is refused. A
+//!   replication `Hello` carries the sender's ceiling; a primary that
+//!   hears a higher one answers [`ReplicationFrame::Fenced`] and is
+//!   deposed from that moment, even across a restart from its
+//!   pre-failover disk image.
+//! * `promote` ([`CasServer::promote`](crate::CasServer::promote))
+//!   makes a follower the primary one fence past everything it has
+//!   seen, committed as a durable
+//!   [`JournalRecord::Fence`](sinclave::journal_record::JournalRecord)
+//!   record that continues the primary's sequence numbering.
 //!
 //! An acked redemption therefore cannot replay fleet-wide: the ack
 //! implies a durable journal record on the then-primary; a promoted
@@ -85,7 +91,7 @@
 //! [`apply_record`]: sinclave::verifier::SingletonIssuer::apply_record
 
 use crate::reactor::{spawn_reactor, Listen, Step};
-use crate::server::CasServer;
+use crate::server::{CasServer, Route};
 use crate::trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,6 +194,59 @@ impl ReplicationHub {
     }
 }
 
+/// Where this server's writes go (`CasServer::route_write`). Being
+/// deposed is not a role: it is the fence pair's `ceiling > own`.
+#[derive(Clone)]
+pub(crate) enum Role {
+    /// Writes commit here; sealed batches go to the hub, if any.
+    Primary { hub: Option<Arc<ReplicationHub>> },
+    /// Writes forward over the link, or are refused without one;
+    /// `subscribed` while a pump is attached.
+    Follower { link: Option<Arc<ForwardLink>>, subscribed: bool },
+}
+
+impl Role {
+    /// A follower left with neither a link nor a pump is a primary.
+    fn follower(link: Option<Arc<ForwardLink>>, subscribed: bool) -> Role {
+        match link {
+            None if !subscribed => Role::Primary { hub: None },
+            link => Role::Follower { link, subscribed },
+        }
+    }
+
+    /// `follow`: a pump attaches, keeping any link.
+    pub(crate) fn follow(&mut self) {
+        let link = match self {
+            Role::Follower { link, .. } => link.take(),
+            Role::Primary { .. } => None,
+        };
+        *self = Role::follower(link, true);
+    }
+
+    /// `unfollow`: the pump exited.
+    pub(crate) fn unfollow(&mut self) {
+        if let Role::Follower { link, .. } = self {
+            *self = Role::follower(link.take(), false);
+        }
+    }
+
+    /// A primary given a link forwards its writes from then on.
+    pub(crate) fn set_link(&mut self, link: Option<Arc<ForwardLink>>) {
+        if let Role::Follower { subscribed, .. } = self {
+            *self = Role::follower(link, *subscribed);
+        } else if link.is_some() {
+            *self = Role::follower(link, false);
+        }
+    }
+
+    /// A follower publishes nothing, so it keeps no hub.
+    pub(crate) fn set_hub(&mut self, new: Option<Arc<ReplicationHub>>) {
+        if let Role::Primary { hub } = self {
+            *hub = new;
+        }
+    }
+}
+
 /// Serves `sessions` replication sessions on `addr` — subscriber
 /// streams and forward (write-linearization) sessions, dispatched by
 /// the opening `Hello`'s role — as connection kinds on a reactor with
@@ -206,7 +265,7 @@ pub fn serve_replication(
     seed: u64,
 ) -> JoinHandle<()> {
     let hub = ReplicationHub::new();
-    server.set_replication_hub(Some(hub.clone()));
+    server.change_role(|role| role.set_hub(Some(hub.clone())));
     spawn_reactor(server, network, addr, Listen::Replication(hub), sessions, seed)
 }
 
@@ -350,13 +409,18 @@ pub(crate) fn forward_reply(
         server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
         return ReplicationFrame::Denied { reason: "malformed replication frame".into() };
     };
-    if server.is_fenced() {
-        // A forwarded grant or redemption is a write the fence refused;
-        // any other frame is not a write and is not counted.
-        if matches!(frame, ReplicationFrame::Forward { .. } | ReplicationFrame::Redeem { .. }) {
-            server.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
-        }
-        return ReplicationFrame::Fenced { fence: server.fence_ceiling() };
+    // Only a forwarded grant or redemption is a write, routed like any
+    // other; a deposed server answers `Fenced` to every frame.
+    let route = match frame {
+        ReplicationFrame::Forward { .. } | ReplicationFrame::Redeem { .. } => server.route_write(),
+        _ => Route::Refuse { reason: "unexpected replication frame", fenced: server.is_fenced() },
+    };
+    if let Route::Refuse { reason, fenced } = route {
+        return if fenced {
+            ReplicationFrame::Fenced { fence: server.fence_ceiling() }
+        } else {
+            ReplicationFrame::Denied { reason: reason.into() }
+        };
     }
     match frame {
         ReplicationFrame::Forward { request, ctx } => {
@@ -399,16 +463,6 @@ pub(crate) fn forward_reply(
     }
 }
 
-/// How one connect-subscribe-replay attempt of the follower pump
-/// ended.
-enum PumpExit {
-    /// The stop flag was raised; the pump shuts down.
-    Stopped,
-    /// The stream was lost (connect refused, partition, damaged
-    /// frame, fence); the pump backs off and reconnects.
-    Lost,
-}
-
 /// A running follower pump. Dropping the handle leaks the thread;
 /// call [`FollowerHandle::stop`] to end it (the deployment does this
 /// before promoting the replica).
@@ -421,6 +475,7 @@ impl FollowerHandle {
     /// Signals the pump to stop and joins it. After this returns the
     /// replica applies nothing further from the old stream — the
     /// precondition for [`CasServer::promote`](crate::CasServer::promote).
+    /// The pump's exit makes the `unfollow` transition.
     pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.handle.join();
@@ -433,56 +488,56 @@ impl FollowerHandle {
 /// While the stream is down the replica keeps serving reads from its
 /// last replayed state with the middleware degraded flag raised
 /// (degraded-but-serving, not down).
+///
+/// Makes the `follow` transition before it returns, so no write
+/// commits locally while the pump starts. The pump exits once stopped
+/// or once the server drains.
 #[must_use]
 pub fn follow(
     server: Arc<CasServer>,
     network: Network,
     addr: String,
     seed: u64,
-    backoff: Backoff,
+    mut backoff: Backoff,
 ) -> FollowerHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    // Shutdown on the follower raises this flag too, so the pump
-    // unsubscribes cleanly instead of racing the drained server.
-    server.register_drain_stop(&stop);
     let pump_stop = stop.clone();
+    server.change_role(Role::follow);
     let handle = std::thread::spawn(move || {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut backoff = backoff;
-        server.set_following(true);
-        while !pump_stop.load(Ordering::Relaxed) {
-            match pump_once(&server, &network, &addr, &mut rng, &pump_stop, &mut backoff) {
-                PumpExit::Stopped => break,
-                PumpExit::Lost => {
-                    server.middleware().set_degraded(true);
-                    server.stats.replication_reconnects.fetch_add(1, Ordering::Relaxed);
-                    sleep_interruptible(&pump_stop, backoff.next_delay());
-                }
+        let stopped = || pump_stop.load(Ordering::Relaxed) || server.is_draining();
+        while !stopped() {
+            pump_once(&server, &network, &addr, &mut rng, &stopped, &mut backoff);
+            if !stopped() {
+                server.middleware().set_degraded(true);
+                server.stats.replication_reconnects.fetch_add(1, Ordering::Relaxed);
+                sleep_interruptible(&stopped, backoff.next_delay());
             }
         }
-        server.set_following(false);
+        server.change_role(Role::unfollow);
     });
     FollowerHandle { stop, handle }
 }
 
-/// One connect-subscribe-replay attempt.
+/// One connect-subscribe-replay attempt; returns once stopped or once
+/// the stream is lost (refused, partitioned, damaged or fenced).
 fn pump_once(
     server: &Arc<CasServer>,
     network: &Network,
     addr: &str,
     rng: &mut StdRng,
-    stop: &AtomicBool,
+    stopped: &impl Fn() -> bool,
     backoff: &mut Backoff,
-) -> PumpExit {
-    let Ok(conn) = network.connect(addr) else { return PumpExit::Lost };
-    let Ok(mut chan) = SecureChannel::client_connect(conn, rng) else { return PumpExit::Lost };
+) {
+    let Ok(conn) = network.connect(addr) else { return };
+    let Ok(mut chan) = SecureChannel::client_connect(conn, rng) else { return };
     // Fleet binding: the whole fleet shares one channel key, so the
     // primary's fingerprint is our own. A peer presenting any other
     // key is a hijacker terminating the channel with their own key —
     // drop before sending the hello, let alone adopting a baseline.
     if chan.server_key_fingerprint() != server.channel_key.public_key().fingerprint() {
         server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
-        return PumpExit::Lost;
+        return;
     }
     chan.set_recv_timeout(Some(PUMP_POLL));
     let hello = ReplicationFrame::Hello {
@@ -491,78 +546,56 @@ fn pump_once(
         fence: server.fence_ceiling(),
     };
     if chan.send(&hello.to_bytes()).is_err() {
-        return PumpExit::Lost;
+        return;
     }
-    let raw = loop {
-        if stop.load(Ordering::Relaxed) {
-            return PumpExit::Stopped;
-        }
-        match chan.recv() {
-            Ok(raw) => break raw,
-            Err(NetError::Timeout) => {}
-            Err(_) => return PumpExit::Lost,
-        }
-    };
-    match ReplicationFrame::from_bytes(&raw) {
-        Ok(ReplicationFrame::Baseline { fence, high_seq: _, baseline_seq, snapshot, chunks }) => {
-            if server.adopt_baseline(fence, baseline_seq, &snapshot, &chunks).is_err() {
-                return PumpExit::Lost;
-            }
-        }
-        Ok(ReplicationFrame::Fenced { fence }) => {
-            server.observe_fence(fence);
-            return PumpExit::Lost;
-        }
-        Ok(_) => return PumpExit::Lost,
-        Err(_) => {
-            server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
-            return PumpExit::Lost;
-        }
-    }
-    // Caught up: the stream is healthy again.
-    server.middleware().set_degraded(false);
-    backoff.reset();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return PumpExit::Stopped;
-        }
+    // The stream is a baseline, then records and heartbeats.
+    let mut adopted = false;
+    while !stopped() {
         let raw = match chan.recv() {
             Ok(raw) => raw,
             Err(NetError::Timeout) => continue, // idle poll tick
-            Err(_) => return PumpExit::Lost,
+            Err(_) => return,
         };
         match ReplicationFrame::from_bytes(&raw) {
-            Ok(ReplicationFrame::Records { fence, batch }) => {
-                // A batch stamped below our fence comes from a stream
-                // that outlived its authority; drop the session.
-                if fence < server.fence() {
-                    return PumpExit::Lost;
+            Ok(ReplicationFrame::Baseline { fence, baseline_seq, snapshot, chunks, .. })
+                if !adopted =>
+            {
+                if server.adopt_baseline(fence, baseline_seq, &snapshot, &chunks).is_err() {
+                    return;
                 }
-                if server.apply_replicated_batch(&batch).is_err() {
-                    return PumpExit::Lost;
+                // Caught up: the stream is healthy again.
+                adopted = true;
+                server.middleware().set_degraded(false);
+                backoff.reset();
+            }
+            // A batch stamped below our fence comes from a stream that
+            // outlived its authority; drop the session.
+            Ok(ReplicationFrame::Records { fence, batch }) if adopted => {
+                if fence < server.fence() || server.apply_replicated_batch(&batch).is_err() {
+                    return;
                 }
                 server.note_stream_progress(None);
             }
-            Ok(ReplicationFrame::Heartbeat { fence: _, high_seq }) => {
+            Ok(ReplicationFrame::Heartbeat { high_seq, .. }) if adopted => {
                 server.note_stream_progress(Some(high_seq));
             }
             Ok(ReplicationFrame::Fenced { fence }) => {
                 server.observe_fence(fence);
-                return PumpExit::Lost;
+                return;
             }
-            Ok(_) => return PumpExit::Lost,
+            Ok(_) => return,
             Err(_) => {
                 server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
-                return PumpExit::Lost;
+                return;
             }
         }
     }
 }
 
-/// Sleeps up to `total`, waking early if `stop` is raised.
-fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
+/// Sleeps up to `total`, waking early once `stopped`.
+fn sleep_interruptible(stopped: &impl Fn() -> bool, total: Duration) {
     let mut remaining = total;
-    while !stop.load(Ordering::Relaxed) && remaining > Duration::ZERO {
+    while !stopped() && remaining > Duration::ZERO {
         let step = remaining.min(Duration::from_millis(5));
         std::thread::sleep(step);
         remaining = remaining.saturating_sub(step);
@@ -700,7 +733,7 @@ impl ForwardLink {
 
 #[cfg(test)]
 mod tests {
-    use super::{forward_reply, ReplicationHub, Stream};
+    use super::{follow, forward_reply, ReplicationHub, Stream};
     use crate::reactor::Step;
     use crate::server::CasServer;
     use crate::store::CasStore;
@@ -711,8 +744,9 @@ mod tests {
     use sinclave_crypto::aead::AeadKey;
     use sinclave_crypto::rsa::RsaPrivateKey;
     use sinclave_crypto::sha256::Digest;
-    use sinclave_net::{Connection, Poller, SecureChannel};
+    use sinclave_net::{Backoff, Connection, Network, Poller, SecureChannel};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A server on a fresh store, and its channel key.
     fn server(seed: u64) -> (Arc<CasServer>, RsaPrivateKey) {
@@ -744,6 +778,16 @@ mod tests {
     }
 
     #[test]
+    fn follow_enters_the_follower_role_before_it_returns() {
+        let (server, _) = server(0x1ab);
+        let backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(5));
+        let pump = follow(server.clone(), Network::new(), "nobody:7443".into(), 1, backoff);
+        assert!(server.is_following(), "a write in this window would commit locally");
+        pump.stop();
+        assert!(!server.is_following(), "the pump unfollows when it exits");
+    }
+
+    #[test]
     fn lag_gauge_reports_the_last_written_batch_not_the_journal_head() {
         let (server, channel_key) = server(0x1a9);
         let (client_end, server_end) = Connection::pair();
@@ -755,7 +799,7 @@ mod tests {
         let (sender, receiver) = accepting.join().unwrap().unwrap().split();
 
         let hub = ReplicationHub::new();
-        server.set_replication_hub(Some(hub.clone()));
+        server.change_role(|role| role.set_hub(Some(hub.clone())));
         let ready = Poller::new().readiness(7);
         let mut stream = Stream::open(&server, &hub, sender, receiver, &ready).unwrap();
         for fill in 1..=3 {

@@ -111,7 +111,7 @@ use crate::commit::CommitPipe;
 use crate::histogram::StageHistograms;
 use crate::middleware::{MiddlewareChain, MiddlewareConfig, Refusal};
 use crate::policy::{PolicyMode, SessionPolicy};
-use crate::replica::{ForwardLink, ReplicationHub};
+use crate::replica::{ForwardLink, ReplicationHub, Role};
 use crate::store::CasStore;
 use crate::trace::{self, SpanOutcome, Tracer};
 use rand::RngCore;
@@ -327,17 +327,9 @@ pub struct CasServer {
     /// the store so a deposed primary restarting from a pre-failover
     /// disk image comes back fenced.
     fence_ceiling: AtomicU64,
-    /// Set while this server is a live replication subscriber: local
-    /// writes are refused (they would collide with the primary's
-    /// sequence numbers) and checkpoints are deferred to promotion.
-    following: AtomicBool,
-    /// A follower's write-forwarding link to the primary; `None` on a
-    /// primary (and on a read-only follower, which refuses writes
-    /// outright).
-    forward: parking_lot::RwLock<Option<Arc<ForwardLink>>>,
-    /// The hub live commit batches are published to while replication
-    /// serving is up ([`crate::replica::serve_replication`]).
-    replication: parking_lot::RwLock<Option<Arc<ReplicationHub>>>,
+    /// Where writes go ([`CasServer::route_write`]); readers clone it
+    /// and drop the guard at once.
+    role: parking_lot::RwLock<Role>,
     /// Counters.
     pub stats: CasStats,
     /// Per-stage latency histograms, fed by the reactor and (via the
@@ -368,9 +360,6 @@ pub struct CasServer {
     /// shutdown so a loop waiting out its (up to 60 s) poll tick
     /// notices the drain immediately.
     drain_wakers: parking_lot::Mutex<Vec<Weak<Readiness>>>,
-    /// Stop flags of follower pumps attached to this server, raised at
-    /// shutdown so followers unsubscribe cleanly.
-    drain_stops: parking_lot::Mutex<Vec<Weak<AtomicBool>>>,
     /// Live reactors; [`CasServer::shutdown`] waits for none to be left
     /// before persisting.
     active_serves: AtomicU64,
@@ -379,6 +368,31 @@ pub struct CasServer {
     /// probes (appends failing *now*), not forever after one historic
     /// failure (each failed append already failed its request closed).
     health_journal_failed_seen: AtomicU64,
+}
+
+/// Why a follower refuses a write it cannot forward.
+const READ_ONLY: &str = "read-only replica";
+
+/// Where one write goes, as [`CasServer::route_write`] decided.
+pub(crate) enum Route {
+    /// Commit here, publishing the sealed batch to the hub if any.
+    Local(Option<Arc<ReplicationHub>>),
+    /// Linearize through the primary over this link.
+    Forward(Arc<ForwardLink>),
+    /// Refuse for `reason`; `fenced` when a fence deposed this server.
+    Refuse { reason: &'static str, fenced: bool },
+}
+
+impl Route {
+    /// The route as the journaling entry points take it: they cannot
+    /// forward, so a follower's write is refused there as read-only.
+    pub(crate) fn local(self) -> Result<Option<Arc<ReplicationHub>>, SinclaveError> {
+        match self {
+            Route::Local(hub) => Ok(hub),
+            Route::Forward(_) => Err(SinclaveError::JournalInvalid { context: READ_ONLY }),
+            Route::Refuse { reason, .. } => Err(SinclaveError::JournalInvalid { context: reason }),
+        }
+    }
 }
 
 impl fmt::Debug for CasServer {
@@ -461,10 +475,9 @@ impl Drop for CasServer {
         // deliberately discarded — there is no caller to report to,
         // and the journal still covers every acked event — and clean
         // epochs skip the write entirely. Followers and fenced
-        // ex-primaries hold no authoritative state to seal.
-        if !self.following.load(Ordering::Relaxed) && !self.is_fenced() {
-            let _ = self.persist_state();
-        }
+        // ex-primaries hold no authoritative state to seal, and the
+        // checkpoint's write routing refuses them.
+        let _ = self.persist_state();
     }
 }
 
@@ -505,9 +518,7 @@ impl CasServer {
             panic_on_next_ping: AtomicBool::new(false),
             fence: AtomicU64::new(0),
             fence_ceiling: AtomicU64::new(0),
-            following: AtomicBool::new(false),
-            forward: parking_lot::RwLock::new(None),
-            replication: parking_lot::RwLock::new(None),
+            role: parking_lot::RwLock::new(Role::Primary { hub: None }),
             stats: CasStats::default(),
             latency,
             tracer,
@@ -516,7 +527,6 @@ impl CasServer {
             replication_stream_ns: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             drain_wakers: parking_lot::Mutex::new(Vec::new()),
-            drain_stops: parking_lot::Mutex::new(Vec::new()),
             active_serves: AtomicU64::new(0),
             health_journal_failed_seen: AtomicU64::new(0),
         };
@@ -685,17 +695,10 @@ impl CasServer {
         self.drain_wakers.lock().push(Arc::downgrade(waker));
     }
 
-    /// Registers a follower pump's stop flag so shutdown makes it
-    /// unsubscribe cleanly (weak: a stopped pump's flag just fails to
-    /// upgrade).
-    pub(crate) fn register_drain_stop(&self, stop: &Arc<AtomicBool>) {
-        self.drain_stops.lock().push(Arc::downgrade(stop));
-    }
-
     /// Graceful shutdown: stop accepting, drain in-flight requests on
-    /// every reactor (client, replication and status listeners), stop
-    /// follower pumps, then persist the durable state — so a clean
-    /// stop restores from the snapshot with **zero** journal replay.
+    /// every reactor (client, replication and status listeners) and
+    /// follower pump, then persist the durable state — so a clean stop
+    /// restores from the snapshot with **zero** journal replay.
     ///
     /// The commit pipe needs no separate flush: commits are
     /// synchronous within request handling, so once the serving
@@ -713,7 +716,8 @@ impl CasServer {
     /// cannot fail; serving threads that outlive the drain deadline
     /// are abandoned to their own timeouts).
     pub fn shutdown(&self) -> Result<(), SinclaveError> {
-        let was_following = self.following.load(Ordering::Relaxed);
+        // Read before the drain: a pump that exits on it unfollows.
+        let primary = matches!(self.role(), Role::Primary { .. });
         self.draining.store(true, Ordering::SeqCst);
         // Wake parked reactor loops (they may be in a poll wait of up
         // to 60 s) so the drain is noticed now, not at the next tick.
@@ -722,19 +726,13 @@ impl CasServer {
                 waker.signal();
             }
         }
-        // Followers unsubscribe cleanly: raise the pump stop flags.
-        for stop in self.drain_stops.lock().iter() {
-            if let Some(stop) = stop.upgrade() {
-                stop.store(true, Ordering::SeqCst);
-            }
-        }
         // Wait (bounded) for the serving threads to finish in-flight
         // requests and exit their accept loops.
         let deadline = Instant::now() + sinclave_net::bus::RECV_TIMEOUT;
         while self.active_serves.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        if was_following || self.is_fenced() {
+        if !primary || self.is_fenced() {
             return Ok(());
         }
         self.persist_state()
@@ -980,8 +978,9 @@ impl CasServer {
     /// fence (over a replication session) refuses all further writes.
     ///
     /// The caller must have stopped this replica's follower pump
-    /// first; promotion clears the following flag and drops the
-    /// forward link, so writes are served locally from here on.
+    /// first. Promotion makes the `promote` transition: a follower
+    /// becomes the primary and drops its forward link, so writes are
+    /// served locally from here on.
     ///
     /// # Errors
     ///
@@ -990,8 +989,11 @@ impl CasServer {
     pub fn promote(&self) -> Result<u64, SinclaveError> {
         let new_fence =
             self.fence.load(Ordering::Relaxed).max(self.fence_ceiling.load(Ordering::Relaxed)) + 1;
-        self.following.store(false, Ordering::Relaxed);
-        *self.forward.write() = None;
+        self.change_role(|role| {
+            if let Role::Follower { .. } = role {
+                *role = Role::Primary { hub: None };
+            }
+        });
         self.fence.store(new_fence, Ordering::Relaxed);
         self.fence_ceiling.store(new_fence, Ordering::Relaxed);
         self.commit_record(JournalRecord::Fence { fence: new_fence })?;
@@ -999,41 +1001,42 @@ impl CasServer {
         Ok(new_fence)
     }
 
-    /// Marks this server as a live replication subscriber (set by the
-    /// follower pump). While following, local writes are refused and
-    /// checkpoints are deferred — every durable record must come from
-    /// the primary's stream so sequence numbers stay primary-owned.
-    pub fn set_following(&self, following: bool) {
-        self.following.store(following, Ordering::Relaxed);
+    /// Applies one fleet-role transition (see `Role`).
+    pub(crate) fn change_role(&self, transition: impl FnOnce(&mut Role)) {
+        transition(&mut self.role.write());
     }
 
     /// Whether this server is currently a live replication subscriber.
     #[must_use]
     pub fn is_following(&self) -> bool {
-        self.following.load(Ordering::Relaxed)
+        matches!(*self.role.read(), Role::Follower { subscribed: true, .. })
+    }
+
+    /// A copy of the fleet role; the guard is dropped at once.
+    pub(crate) fn role(&self) -> Role {
+        self.role.read().clone()
     }
 
     /// Installs (or clears) the write-forwarding link a follower uses
     /// to linearize grants and redemptions through the primary.
     pub fn set_forward_link(&self, link: Option<Arc<ForwardLink>>) {
-        *self.forward.write() = link;
+        self.change_role(|role| role.set_link(link));
     }
 
-    fn forward_link(&self) -> Option<Arc<ForwardLink>> {
-        self.forward.read().clone()
-    }
-
-    /// Installs (or clears) the hub committed batches are published
-    /// to; set by [`crate::replica::serve_replication`].
-    pub(crate) fn set_replication_hub(&self, hub: Option<Arc<ReplicationHub>>) {
-        *self.replication.write() = hub;
-    }
-
-    /// The live replication hub, if this server is serving
-    /// subscribers — the primary half of the `trace` view's
-    /// replication-lag gauges.
-    pub(crate) fn replication_hub(&self) -> Option<Arc<ReplicationHub>> {
-        self.replication.read().clone()
+    /// The one write-routing decision, taken by every write entry point,
+    /// so refusal reasons and [`CasStats::writes_fenced`] come from here
+    /// alone. A follower with a link forwards (the primary decides); a
+    /// deposed server refuses; a follower without a link refuses.
+    pub(crate) fn route_write(&self) -> Route {
+        match self.role() {
+            Role::Follower { link: Some(link), .. } => Route::Forward(link),
+            _ if self.is_fenced() => {
+                self.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
+                Route::Refuse { reason: "server fenced", fenced: true }
+            }
+            Role::Follower { link: None, .. } => Route::Refuse { reason: READ_ONLY, fenced: false },
+            Role::Primary { hub } => Route::Local(hub),
+        }
     }
 
     /// Follower-side stream bookkeeping: stamps the last time the
@@ -1288,18 +1291,11 @@ impl CasServer {
     /// ack it.
     // invariant: journal-before-ack
     pub(crate) fn commit_record(&self, record: JournalRecord) -> Result<(), SinclaveError> {
-        if self.is_fenced() {
-            self.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
-            return Err(SinclaveError::JournalInvalid { context: "journal fenced" });
-        }
-        if self.following.load(Ordering::Relaxed) {
-            return Err(SinclaveError::JournalInvalid { context: "journal following" });
-        }
+        let hub = self.route_write().local()?;
         let mode = self.journal_mode();
         if mode == JournalMode::Disabled {
             return Ok(());
         }
-        let hub = self.replication.read().clone();
         let result = self.pipe.commit(
             mode == JournalMode::GroupCommit,
             record,
@@ -1347,14 +1343,11 @@ impl CasServer {
         token: &AttestationToken,
         attested_mrenclave: &Measurement,
     ) -> Result<Measurement, SinclaveError> {
-        // Fencing is checked *before* the in-memory transition: a
-        // deposed primary must not even consume the token locally,
-        // because the promoted replica owns the authoritative table
-        // now and may legitimately honor it.
-        if self.is_fenced() {
-            self.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
-            return Err(SinclaveError::JournalInvalid { context: "journal fenced" });
-        }
+        // Routed *before* the in-memory transition: a deposed primary
+        // must not even consume the token locally, because the
+        // promoted replica owns the authoritative table now and may
+        // legitimately honor it.
+        self.route_write().local()?;
         let common = self.issuer.redeem(token, attested_mrenclave)?;
         self.commit_record(SingletonIssuer::redemption_record(token))?;
         let redeemed = self.stats.tokens_redeemed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1404,41 +1397,30 @@ impl CasServer {
         rng: &mut (impl RngCore + ?Sized),
     ) -> Message {
         let Request { message, grant_sigstruct } = request;
-        // Write routing: a follower linearizes grants through the
-        // primary; a fenced (deposed) primary refuses them outright.
         // Reads — ping, challenge, attested retrieval — stay local on
-        // every replica.
+        // every replica; a grant goes where the role routes it.
         if matches!(message, Message::GrantRequest { .. }) {
-            if let Some(link) = self.forward_link() {
-                self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-                // The trace context travels on the Forward frame with
-                // hop + 1; the primary's spans come back on the Reply
-                // and are rebased into the forward span's start, so
-                // one causal tree spans both nodes.
-                let ctx = trace::map_active(|t| t.forward_context());
-                let forward_start = trace::now_ns();
-                return match link.forward(&message, ctx) {
-                    Ok((reply, spans)) => {
-                        trace::with_active(|t| {
-                            t.record("forward", forward_start, trace::now_ns(), SpanOutcome::Ok);
-                            t.absorb_remote(&spans, forward_start);
-                        });
-                        reply
-                    }
-                    Err(reason) => {
-                        trace::with_active(|t| {
-                            t.record("forward", forward_start, trace::now_ns(), SpanOutcome::Error);
-                        });
-                        Message::Denied { reason }
-                    }
-                };
-            }
-            if self.following.load(Ordering::Relaxed) {
-                return Message::Denied { reason: "read-only replica".into() };
-            }
-            if self.is_fenced() {
-                self.stats.writes_fenced.fetch_add(1, Ordering::Relaxed);
-                return Message::Denied { reason: "server fenced".into() };
+            match self.route_write() {
+                Route::Local(_) => {}
+                Route::Forward(link) => {
+                    self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
+                    // The trace context travels on the Forward frame with
+                    // hop + 1; the primary's spans come back on the Reply
+                    // and are rebased into the forward span's start, so
+                    // one causal tree spans both nodes.
+                    let ctx = trace::map_active(|t| t.forward_context());
+                    let start = trace::now_ns();
+                    let (out, spans, reply) = match link.forward(&message, ctx) {
+                        Ok((reply, spans)) => (SpanOutcome::Ok, spans, reply),
+                        Err(reason) => (SpanOutcome::Error, Vec::new(), Message::Denied { reason }),
+                    };
+                    trace::with_active(|t| {
+                        t.record("forward", start, trace::now_ns(), out);
+                        t.absorb_remote(&spans, start);
+                    });
+                    return reply;
+                }
+                Route::Refuse { reason, .. } => return Message::Denied { reason: reason.into() },
             }
         }
         match message {
@@ -1581,21 +1563,21 @@ impl CasServer {
         token: &AttestationToken,
         mrenclave: &Measurement,
     ) -> Result<Measurement, String> {
-        if let Some(link) = self.forward_link() {
-            self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-            // Redeem forwards ride a compact token frame that carries
-            // no trace context; the local forward span still prices
-            // the hop, without remote detail.
-            let forwarding = Instant::now();
-            let result = link.redeem(token, mrenclave);
-            let out = if result.is_ok() { SpanOutcome::Ok } else { SpanOutcome::Error };
-            trace::record_elapsed("forward", forwarding.elapsed(), out);
-            return result;
+        match self.route_write() {
+            Route::Local(_) => self.redeem_token(token, mrenclave).map_err(|e| e.to_string()),
+            Route::Forward(link) => {
+                self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
+                // Redeem forwards ride a compact token frame that
+                // carries no trace context; the local forward span
+                // still prices the hop, without remote detail.
+                let forwarding = Instant::now();
+                let result = link.redeem(token, mrenclave);
+                let out = if result.is_ok() { SpanOutcome::Ok } else { SpanOutcome::Error };
+                trace::record_elapsed("forward", forwarding.elapsed(), out);
+                result
+            }
+            Route::Refuse { reason, .. } => Err(reason.into()),
         }
-        if self.following.load(Ordering::Relaxed) {
-            return Err("read-only replica".into());
-        }
-        self.redeem_token(token, mrenclave).map_err(|e| e.to_string())
     }
 
     fn check_identity(
@@ -1649,6 +1631,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sinclave::layout::EnclaveLayout;
+    use sinclave::replication::ReplicationFrame;
     use sinclave::signer::{sign_enclave, SignerConfig};
     use sinclave::AppConfig;
     use sinclave_crypto::aead::AeadKey;
@@ -2076,5 +2059,156 @@ mod tests {
         cas.add_policy(policy).unwrap();
         assert_eq!(cas.store.list_policies().unwrap(), vec!["svc".to_owned()]);
         assert_eq!(cas.store.get_policy("svc").unwrap().config_id, "svc");
+    }
+
+    /// Every reachable fleet role crossed with every write entry point:
+    /// the grant branch of dispatch, `redeem_or_forward`, a direct
+    /// `redeem_token`, and a forwarded redemption frame. Each cell is
+    /// "ok" or the refusal the route gave; a fenced write moves
+    /// `writes_fenced` exactly once, a non-write never does. Links dial
+    /// an in-process address nobody serves, so a forwarded write comes
+    /// back "primary unreachable".
+    #[test]
+    fn every_write_entry_point_routes_by_role() {
+        const FORWARDED: &str = "primary unreachable";
+        const JOURNAL_READ_ONLY: &str = "redemption journal refused: read-only replica";
+        fn link() -> Option<Arc<ForwardLink>> {
+            Some(ForwardLink::new(Network::new(), "nobody:7443", Digest([0; 32]), 1))
+        }
+        type State = (&'static str, fn(&CasServer), [&'static str; 4]);
+        let states: [State; 7] = [
+            ("primary", |_| {}, ["ok"; 4]),
+            (
+                "deposed primary",
+                |cas| assert!(cas.observe_fence(1)),
+                [
+                    "server fenced",
+                    "server fenced",
+                    "redemption journal refused: server fenced",
+                    "fenced",
+                ],
+            ),
+            (
+                "follower with a link",
+                |cas| {
+                    cas.set_forward_link(link());
+                    cas.change_role(Role::follow);
+                },
+                [FORWARDED, FORWARDED, JOURNAL_READ_ONLY, JOURNAL_READ_ONLY],
+            ),
+            (
+                "follower without a link",
+                |cas| cas.change_role(Role::follow),
+                [READ_ONLY, READ_ONLY, JOURNAL_READ_ONLY, READ_ONLY],
+            ),
+            (
+                "stopped follower, keeping its link",
+                |cas| {
+                    cas.set_forward_link(link());
+                    cas.change_role(Role::follow);
+                    cas.change_role(Role::unfollow);
+                },
+                [FORWARDED, FORWARDED, JOURNAL_READ_ONLY, JOURNAL_READ_ONLY],
+            ),
+            (
+                "stopped follower without a link",
+                |cas| {
+                    cas.change_role(Role::follow);
+                    cas.change_role(Role::unfollow);
+                },
+                ["ok"; 4],
+            ),
+            (
+                "promoted follower",
+                |cas| {
+                    cas.set_forward_link(link());
+                    cas.change_role(Role::follow);
+                    cas.change_role(Role::unfollow);
+                    assert_eq!(cas.promote().unwrap(), 1);
+                },
+                ["ok"; 4],
+            ),
+        ];
+
+        let mut rng = StdRng::seed_from_u64(0x5a7e);
+        let mut key = || RsaPrivateKey::generate(&mut rng, 1024).unwrap();
+        let (channel_key, signer_key, root) = (key(), key(), key());
+        let layout = EnclaveLayout::for_program(b"app", 2).unwrap();
+        let signed = sign_enclave(&layout, &signer_key, &SignerConfig::default()).unwrap();
+        let grant = || {
+            Request::new(Message::GrantRequest {
+                common_sigstruct: signed.common_sigstruct.to_bytes(),
+                base_hash: signed.base_hash.encode().to_vec(),
+            })
+        };
+        let transcript = Digest([0; 32]);
+        for (name, enter, expected) in states {
+            let cas = CasServer::new(
+                channel_key.clone(),
+                signer_key.clone(),
+                root.public_key().clone(),
+                CasStore::create(AeadKey::new([7; 32])),
+            );
+            enter(&cas);
+            let mut token = || {
+                let grant = cas
+                    .issuer()
+                    .issue(&mut rng, &signed.common_sigstruct, &signed.base_hash)
+                    .unwrap();
+                (grant.token, grant.expected_mrenclave)
+            };
+            let tokens = [token(), token(), token()];
+            let fenced_before = cas.stats.snapshot().writes_fenced;
+
+            let granted = match cas.dispatch(grant(), &mut None, &transcript, &mut rng) {
+                Message::GrantResponse { .. } => "ok".to_owned(),
+                Message::Denied { reason } => reason,
+                other => panic!("{name}: grant answered {other:?}"),
+            };
+            let (t, m) = &tokens[0];
+            let forwarded_or_local =
+                cas.redeem_or_forward(t, m).map_or_else(|e| e, |_| "ok".to_owned());
+            let (t, m) = &tokens[1];
+            let direct = cas.redeem_token(t, m).map_or_else(|e| e.to_string(), |_| "ok".into());
+            let (t, m) = &tokens[2];
+            let frame = ReplicationFrame::Redeem { token: *t.as_bytes(), mrenclave: *m.as_bytes() };
+            let reply =
+                crate::replica::forward_reply(&cas, &frame.to_bytes(), &transcript, &mut rng);
+            let framed = match reply {
+                ReplicationFrame::RedeemOk { .. } => "ok".to_owned(),
+                ReplicationFrame::Fenced { .. } => "fenced".to_owned(),
+                ReplicationFrame::Denied { reason } => reason,
+                other => panic!("{name}: forwarded redemption answered {other:?}"),
+            };
+            assert_eq!(
+                [granted, forwarded_or_local, direct, framed],
+                expected.map(String::from),
+                "{name}"
+            );
+
+            // One count per refused write, none for a non-write.
+            let refused_fenced = expected.iter().filter(|cell| cell.contains("fenced")).count();
+            assert_eq!(
+                cas.stats.snapshot().writes_fenced - fenced_before,
+                refused_fenced as u64,
+                "{name}"
+            );
+            assert_eq!(
+                cas.dispatch(Request::new(Message::Ping), &mut None, &transcript, &mut rng),
+                Message::Pong
+            );
+            let heartbeat = ReplicationFrame::Heartbeat { fence: 0, high_seq: 0 }.to_bytes();
+            crate::replica::forward_reply(&cas, &heartbeat, &transcript, &mut rng);
+            assert_eq!(
+                cas.stats.snapshot().writes_fenced - fenced_before,
+                refused_fenced as u64,
+                "{name}"
+            );
+            // A refused redemption never consumed its token in memory;
+            // a local grant left one more outstanding.
+            let refused = expected[1..].iter().filter(|cell| **cell != "ok").count();
+            let outstanding = refused + usize::from(expected[0] == "ok");
+            assert_eq!(cas.issuer().outstanding_tokens(), outstanding, "{name}");
+        }
     }
 }

@@ -173,7 +173,7 @@ fn render_trace(server: &CasServer) -> String {
         "recorder: pinned={} sampled={} discarded={} dropped={}\n",
         stats.pinned, stats.sampled, stats.discarded, stats.dropped
     ));
-    if let Some(hub) = server.replication_hub() {
+    if let crate::replica::Role::Primary { hub: Some(hub) } = server.role() {
         // Primary: one gauge line per subscribed follower. `lag` is
         // the last-acked sequence delta against the local journal.
         let high = server.journal_sequence();
