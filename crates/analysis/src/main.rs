@@ -8,7 +8,9 @@
 //! Prints one `path:line: [SA00N/key] message` diagnostic per finding
 //! and exits 1 when any unwaived finding remains, 2 on usage or I/O
 //! errors. Waived findings are listed (with their count) so reviewers
-//! see what the waiver budget is spent on.
+//! see what the waiver budget is spent on. In `--workspace` mode the
+//! summary line also reports the non-test lines of the serving crates
+//! (see [`workspace::non_test_lines`]).
 
 #![forbid(unsafe_code)]
 
@@ -115,12 +117,20 @@ fn run() -> Result<bool, String> {
             println!("waived: {finding}");
         }
     }
-    println!(
+    let mut summary = format!(
         "sinclave-analysis: {} finding(s), {} waived, {} file(s) checked",
         analysis.findings.len(),
         analysis.waived.len(),
         file_count
     );
+    if args.workspace {
+        let counts: Vec<String> = workspace::TRACKED_CRATES
+            .iter()
+            .map(|name| format!("{name} {}", workspace::non_test_lines(&files, name)))
+            .collect();
+        summary.push_str(&format!("; non-test lines: {}", counts.join(", ")));
+    }
+    println!("{summary}");
     Ok(analysis.findings.is_empty())
 }
 

@@ -1,10 +1,34 @@
 //! Workspace file discovery: walks the repository for `.rs` files,
 //! skipping build output, vendored stubs, VCS metadata, and the
 //! analyzer's own rule fixtures (which are violations on purpose).
+//! Also counts the serving crates' non-test lines, the size number
+//! the `--workspace` summary reports.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use crate::SourceFile;
+
+/// The serving crates whose non-test lines the `--workspace` summary
+/// reports, in report order.
+pub const TRACKED_CRATES: &[&str] = &["cas", "net", "fs", "core"];
+
+/// Non-test lines of one crate: for every file under
+/// `crates/<name>/src/`, the lines above its first `#[cfg(test)]`
+/// line (all of its lines when it has none).
+#[must_use]
+pub fn non_test_lines(files: &[SourceFile], name: &str) -> usize {
+    let prefix = format!("crates/{name}/src/");
+    files
+        .iter()
+        .filter(|file| file.path.starts_with(&prefix))
+        .map(|file| {
+            let text = String::from_utf8_lossy(&file.bytes);
+            text.lines().take_while(|line| !line.trim_start().starts_with("#[cfg(test)]")).count()
+        })
+        .sum()
+}
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", ".claude"];
@@ -42,4 +66,24 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::non_test_lines;
+    use crate::SourceFile;
+
+    #[test]
+    fn counts_lines_above_the_first_test_module_per_crate() {
+        let file = |path: &str, text: &str| SourceFile::parse(path, text.as_bytes().to_vec());
+        let files = [
+            file("crates/cas/src/a.rs", "fn a() {}\n\n#[cfg(test)]\nmod tests {}\n"),
+            file("crates/cas/src/b.rs", "// #[cfg(test)] in a comment\nfn b() {}\n"),
+            file("crates/cas/tests/c.rs", "fn c() {}\n"),
+            file("crates/net/src/d.rs", "#[cfg(test)]\nmod tests {}\n"),
+        ];
+        assert_eq!(non_test_lines(&files, "cas"), 4);
+        assert_eq!(non_test_lines(&files, "net"), 0);
+        assert_eq!(non_test_lines(&files, "fs"), 0);
+    }
 }
