@@ -39,7 +39,7 @@
 //! the commit boundary.
 
 use crate::middleware::MiddlewareChain;
-use crate::replica::{self, ReplicationHub, Stream, HEARTBEAT_INTERVAL};
+use crate::replica::{self, Stream, HEARTBEAT_INTERVAL};
 use crate::server::{CasServer, Request, ServeGuard};
 use crate::trace::{self, SpanOutcome};
 use rand::rngs::StdRng;
@@ -63,9 +63,9 @@ use std::time::{Duration, Instant};
 pub(crate) enum Listen {
     /// CAS clients, on `loops` event loops and `workers` compute workers.
     Clients { loops: usize, workers: usize },
-    /// Fleet peers; subscribers register on this hub. One loop and one
-    /// compute worker, which the forwarded writes of every follower share.
-    Replication(Arc<ReplicationHub>),
+    /// Fleet peers, on one loop and one compute worker, which the
+    /// forwarded writes of every follower share.
+    Replication,
     /// Plaintext status probes: one loop, nothing offloaded.
     Status,
 }
@@ -257,8 +257,7 @@ struct EventLoop<'a> {
 /// Serves `connections` connections of kind `listen` on `addr` from a
 /// background thread that runs loop 0 of the reactor; the handle joins
 /// once every slot is served (or accepting timed out after
-/// [`RECV_TIMEOUT`] without a dial) and every connection has closed. A
-/// replication reactor uninstalls its hub as it ends.
+/// [`RECV_TIMEOUT`] without a dial) and every connection has closed.
 pub(crate) fn spawn_reactor(
     server: &Arc<CasServer>,
     network: &Network,
@@ -273,9 +272,6 @@ pub(crate) fn spawn_reactor(
     std::thread::spawn(move || {
         let _serving = guard;
         run_reactor(&server, listener, &listen, connections, seed);
-        if matches!(listen, Listen::Replication(_)) {
-            server.change_role(|role| role.set_hub(None));
-        }
     })
 }
 
@@ -288,7 +284,7 @@ fn run_reactor(
 ) {
     let (loops, compute_workers) = match listen {
         Listen::Clients { loops, workers } => (*loops, *workers),
-        Listen::Replication(_) => (1, 1),
+        Listen::Replication => (1, 1),
         Listen::Status => (1, 0),
     };
     let chain = server.middleware();
@@ -590,7 +586,7 @@ impl EventLoop<'_> {
         conn.watch(&ready);
         let phase = match self.listen {
             Listen::Status => Phase::Probe,
-            Listen::Clients { .. } | Listen::Replication(_) => Phase::Handshake {
+            Listen::Clients { .. } | Listen::Replication => Phase::Handshake {
                 machine: ServerHandshake::new(),
                 rng: StdRng::seed_from_u64(self.seed.wrapping_add(slot)),
             },
@@ -783,7 +779,6 @@ fn step_conn(
         },
         Phase::Forward(session) => offload(session, Work::Forward(raw)),
         Phase::Hello(mut session) => {
-            let Listen::Replication(hub) = listen else { return Step::Close };
             let opened = match replica::hello(server, &raw) {
                 Err(refusal) => {
                     let _ = session.sender.send(&refusal.to_bytes());
@@ -794,7 +789,7 @@ fn step_conn(
                     .send(&replica::heartbeat(server).to_bytes())
                     .map(|()| Phase::Forward(session)),
                 Ok(ReplicaRole::Subscribe) => {
-                    Stream::open(server, hub, session.sender, session.receiver, &state.ready)
+                    Stream::open(server, session.sender, session.receiver, &state.ready)
                         .map(|stream| Phase::Subscriber(Box::new(stream)))
                 }
             };
@@ -867,7 +862,7 @@ fn step_raw(state: &mut ConnState, server: &CasServer, listen: &Listen) -> Step 
             let session =
                 Box::new(Session { sender, receiver, transcript, outstanding_nonce: None, rng });
             state.phase = match listen {
-                Listen::Replication(_) => Phase::Hello(session),
+                Listen::Replication => Phase::Hello(session),
                 Listen::Clients { .. } | Listen::Status => Phase::Idle(session),
             };
             Step::Continue

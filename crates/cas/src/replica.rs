@@ -14,10 +14,13 @@
 //! [`ReplicationFrame::Records`] batches through the same idempotent
 //! [`apply_record`] path restart recovery uses, journaling each batch
 //! locally *before* applying it. Replication is therefore not a
-//! second consistency mechanism: it is crash recovery, streamed. On the
+//! second consistency mechanism: it is crash recovery, streamed. Every
+//! commit publishes to the server's one [`ReplicationHub`], where the
+//! subscribers of all its replication listeners register. On the
 //! primary, each subscriber stream and forward session is a connection
 //! kind on a reactor ([`crate::reactor`]); the follower's pump, which
-//! dials out, is its own thread.
+//! dials out, is its own thread, parked on a [`Poller`] until a frame,
+//! a stop or the drain wakes it.
 //!
 //! Followers serve **read-mostly traffic locally** — ping, challenge,
 //! quote verification, policy retrieval, baseline attestation — and
@@ -101,7 +104,7 @@ use sinclave::snapshot::IssuerSnapshot;
 use sinclave::AttestationToken;
 use sinclave_crypto::sha256::Digest;
 use sinclave_net::{
-    Backoff, ChannelReceiver, ChannelSender, NetError, Network, Readiness, SecureChannel,
+    Backoff, ChannelReceiver, ChannelSender, NetError, Network, Poller, Readiness, SecureChannel,
 };
 use sinclave_sgx::measurement::Measurement;
 use std::collections::VecDeque;
@@ -114,9 +117,10 @@ use std::time::Duration;
 /// reactor's timer wheel sends a liveness heartbeat.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
 
-/// The follower pump's receive poll: bounds how long a stop request
-/// waits on an idle stream.
-const PUMP_POLL: Duration = Duration::from_millis(20);
+/// The follower pump's poller tokens: its stream's connection, and
+/// the wake handle that [`FollowerHandle::stop`] and the drain signal.
+const STREAM: u64 = 0;
+const WAKE: u64 = 1;
 
 /// Per-round-trip deadline on a forward link: a dead primary costs a
 /// forwarded write one bounded wait, not a hang.
@@ -139,19 +143,17 @@ struct Subscriber {
     last_frame_ns: AtomicU64,
 }
 
-/// Fans committed journal batches out to live subscriber streams.
-/// The publish side is called from inside the commit pipe's
+/// Fans committed journal batches out to the live subscriber streams
+/// of all of a server's replication listeners; the server owns it for
+/// life. The publish side is called from inside the commit pipe's
 /// serialized flush, so every subscriber observes batches in sequence
 /// order with no gaps between registration and its bootstrap capture.
+#[derive(Default)]
 pub struct ReplicationHub {
     subscribers: parking_lot::Mutex<Vec<Weak<Subscriber>>>,
 }
 
 impl ReplicationHub {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplicationHub { subscribers: parking_lot::Mutex::new(Vec::new()) })
-    }
-
     fn register(&self, ready: Arc<Readiness>) -> Arc<Subscriber> {
         let subscriber = Arc::new(Subscriber {
             queue: parking_lot::Mutex::new(VecDeque::new()),
@@ -183,14 +185,17 @@ impl ReplicationHub {
 
     /// Queues one sealed batch payload, whose last record has journal
     /// sequence `last_seq`, for every live subscriber and wakes its
-    /// stream; subscribers whose stream closed are dropped.
-    pub(crate) fn publish(&self, payload: &[u8], last_seq: u64) {
-        self.subscribers.lock().retain(|subscriber| {
+    /// stream; subscribers whose stream closed are dropped. Returns
+    /// whether a live subscriber took the batch.
+    pub(crate) fn publish(&self, payload: &[u8], last_seq: u64) -> bool {
+        let mut subscribers = self.subscribers.lock();
+        subscribers.retain(|subscriber| {
             let Some(subscriber) = subscriber.upgrade() else { return false };
             subscriber.queue.lock().push_back((last_seq, payload.to_vec()));
             subscriber.ready.signal();
             true
         });
+        !subscribers.is_empty()
     }
 }
 
@@ -198,8 +203,8 @@ impl ReplicationHub {
 /// deposed is not a role: it is the fence pair's `ceiling > own`.
 #[derive(Clone)]
 pub(crate) enum Role {
-    /// Writes commit here; sealed batches go to the hub, if any.
-    Primary { hub: Option<Arc<ReplicationHub>> },
+    /// Writes commit here, and their sealed batches go to the hub.
+    Primary,
     /// Writes forward over the link, or are refused without one;
     /// `subscribed` while a pump is attached.
     Follower { link: Option<Arc<ForwardLink>>, subscribed: bool },
@@ -209,7 +214,7 @@ impl Role {
     /// A follower left with neither a link nor a pump is a primary.
     fn follower(link: Option<Arc<ForwardLink>>, subscribed: bool) -> Role {
         match link {
-            None if !subscribed => Role::Primary { hub: None },
+            None if !subscribed => Role::Primary,
             link => Role::Follower { link, subscribed },
         }
     }
@@ -218,7 +223,7 @@ impl Role {
     pub(crate) fn follow(&mut self) {
         let link = match self {
             Role::Follower { link, .. } => link.take(),
-            Role::Primary { .. } => None,
+            Role::Primary => None,
         };
         *self = Role::follower(link, true);
     }
@@ -238,24 +243,16 @@ impl Role {
             *self = Role::follower(link, false);
         }
     }
-
-    /// A follower publishes nothing, so it keeps no hub.
-    pub(crate) fn set_hub(&mut self, new: Option<Arc<ReplicationHub>>) {
-        if let Role::Primary { hub } = self {
-            *hub = new;
-        }
-    }
 }
 
 /// Serves `sessions` replication sessions on `addr` — subscriber
 /// streams and forward (write-linearization) sessions, dispatched by
 /// the opening `Hello`'s role — as connection kinds on a reactor with
 /// one event loop and one compute worker (see [`crate::reactor`]).
-/// Installs the publish hub on the server; live commits stream to
-/// subscribers from then on. The returned handle joins once all
-/// session slots have been served (or accepting timed out after
-/// [`sinclave_net::bus::RECV_TIMEOUT`] without a dial) and every
-/// session has closed, and uninstalls the hub.
+/// Subscribers register on the server's one [`ReplicationHub`]. The
+/// returned handle joins once all session slots have been served (or
+/// accepting timed out after [`sinclave_net::bus::RECV_TIMEOUT`]
+/// without a dial) and every session has closed.
 #[must_use]
 pub fn serve_replication(
     server: &Arc<CasServer>,
@@ -264,9 +261,7 @@ pub fn serve_replication(
     sessions: usize,
     seed: u64,
 ) -> JoinHandle<()> {
-    let hub = ReplicationHub::new();
-    server.change_role(|role| role.set_hub(Some(hub.clone())));
-    spawn_reactor(server, network, addr, Listen::Replication(hub), sessions, seed)
+    spawn_reactor(server, network, addr, Listen::Replication, sessions, seed)
 }
 
 /// Reads a replication session's opening frame: the role it asks for,
@@ -295,7 +290,8 @@ pub(crate) fn heartbeat(server: &CasServer) -> ReplicationFrame {
 }
 
 /// A subscriber stream on the reactor: the channel's two halves plus
-/// the hub registration, which ends when the stream is dropped.
+/// the registration on the server's hub, which ends when the stream
+/// is dropped.
 pub(crate) struct Stream {
     sender: ChannelSender,
     receiver: ChannelReceiver,
@@ -316,12 +312,11 @@ impl Stream {
     /// The baseline could not be written; the connection closes.
     pub(crate) fn open(
         server: &CasServer,
-        hub: &ReplicationHub,
         sender: ChannelSender,
         receiver: ChannelReceiver,
         ready: &Arc<Readiness>,
     ) -> Result<Stream, NetError> {
-        let subscriber = hub.register(ready.clone());
+        let subscriber = server.hub.register(ready.clone());
         let snapshot = server.store().restore_state().ok().flatten().unwrap_or_default();
         let baseline_seq =
             IssuerSnapshot::from_bytes(&snapshot).map_or(0, |parsed| parsed.journal_sequence);
@@ -463,21 +458,24 @@ pub(crate) fn forward_reply(
     }
 }
 
-/// A running follower pump. Dropping the handle leaks the thread;
-/// call [`FollowerHandle::stop`] to end it (the deployment does this
+/// A running follower pump, parked until a frame, a stop or the drain
+/// wakes it. Dropping the handle leaks the thread; call
+/// [`FollowerHandle::stop`] to end it (the deployment does this
 /// before promoting the replica).
 pub struct FollowerHandle {
     stop: Arc<AtomicBool>,
+    wake: Arc<Readiness>,
     handle: JoinHandle<()>,
 }
 
 impl FollowerHandle {
-    /// Signals the pump to stop and joins it. After this returns the
+    /// Stops and wakes the pump, and joins it. After this returns the
     /// replica applies nothing further from the old stream — the
     /// precondition for [`CasServer::promote`](crate::CasServer::promote).
     /// The pump's exit makes the `unfollow` transition.
     pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake.signal();
         let _ = self.handle.join();
     }
 }
@@ -490,8 +488,9 @@ impl FollowerHandle {
 /// (degraded-but-serving, not down).
 ///
 /// Makes the `follow` transition before it returns, so no write
-/// commits locally while the pump starts. The pump exits once stopped
-/// or once the server drains.
+/// commits locally while the pump starts. The pump parks until its
+/// stream is readable, and each backoff lasts its full delay; it exits
+/// once [`FollowerHandle::stop`] or the server's drain wakes it.
 #[must_use]
 pub fn follow(
     server: Arc<CasServer>,
@@ -501,22 +500,28 @@ pub fn follow(
     mut backoff: Backoff,
 ) -> FollowerHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let pump_stop = stop.clone();
+    let poller = Poller::new();
+    let wake = poller.readiness(WAKE);
     server.change_role(Role::follow);
+    let (pump_stop, pump_wake) = (stop.clone(), wake.clone());
     let handle = std::thread::spawn(move || {
+        server.register_drain_waker(&pump_wake);
         let mut rng = StdRng::seed_from_u64(seed);
         let stopped = || pump_stop.load(Ordering::Relaxed) || server.is_draining();
         while !stopped() {
-            pump_once(&server, &network, &addr, &mut rng, &stopped, &mut backoff);
+            pump_once(&server, &network, &addr, &poller, &mut rng, &stopped, &mut backoff);
             if !stopped() {
                 server.middleware().set_degraded(true);
                 server.stats.replication_reconnects.fetch_add(1, Ordering::Relaxed);
-                sleep_interruptible(&stopped, backoff.next_delay());
+                // Only the wake handle ends a backoff early; a late token
+                // of the dropped stream starts the wait over.
+                let delay = backoff.next_delay();
+                while !stopped() && poller.wait(delay).contains(&STREAM) {}
             }
         }
         server.change_role(Role::unfollow);
     });
-    FollowerHandle { stop, handle }
+    FollowerHandle { stop, wake, handle }
 }
 
 /// One connect-subscribe-replay attempt; returns once stopped or once
@@ -525,12 +530,15 @@ fn pump_once(
     server: &Arc<CasServer>,
     network: &Network,
     addr: &str,
+    poller: &Poller,
     rng: &mut StdRng,
     stopped: &impl Fn() -> bool,
     backoff: &mut Backoff,
 ) {
     let Ok(conn) = network.connect(addr) else { return };
-    let Ok(mut chan) = SecureChannel::client_connect(conn, rng) else { return };
+    // The watch moves into the channel with the connection.
+    conn.watch(&poller.readiness(STREAM));
+    let Ok(chan) = SecureChannel::client_connect(conn, rng) else { return };
     // Fleet binding: the whole fleet shares one channel key, so the
     // primary's fingerprint is our own. A peer presenting any other
     // key is a hijacker terminating the channel with their own key —
@@ -539,21 +547,25 @@ fn pump_once(
         server.stats.replication_frames_rejected.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    chan.set_recv_timeout(Some(PUMP_POLL));
+    let (mut sender, mut receiver) = chan.split();
     let hello = ReplicationFrame::Hello {
         role: ReplicaRole::Subscribe,
         last_seq: server.journal_sequence(),
         fence: server.fence_ceiling(),
     };
-    if chan.send(&hello.to_bytes()).is_err() {
+    if sender.send(&hello.to_bytes()).is_err() {
         return;
     }
     // The stream is a baseline, then records and heartbeats.
     let mut adopted = false;
     while !stopped() {
-        let raw = match chan.recv() {
+        let raw = match receiver.try_recv() {
             Ok(raw) => raw,
-            Err(NetError::Timeout) => continue, // idle poll tick
+            // Drained: park until the stream is readable or woken.
+            Err(NetError::Timeout) => {
+                let _ = poller.wait(Duration::MAX);
+                continue;
+            }
             Err(_) => return,
         };
         match ReplicationFrame::from_bytes(&raw) {
@@ -589,16 +601,6 @@ fn pump_once(
                 return;
             }
         }
-    }
-}
-
-/// Sleeps up to `total`, waking early once `stopped`.
-fn sleep_interruptible(stopped: &impl Fn() -> bool, total: Duration) {
-    let mut remaining = total;
-    while !stopped() && remaining > Duration::ZERO {
-        let step = remaining.min(Duration::from_millis(5));
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
     }
 }
 
@@ -733,20 +735,20 @@ impl ForwardLink {
 
 #[cfg(test)]
 mod tests {
-    use super::{follow, forward_reply, ReplicationHub, Stream};
+    use super::{follow, forward_reply, serve_replication, Stream};
     use crate::reactor::Step;
     use crate::server::CasServer;
     use crate::store::CasStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sinclave::journal_record::{decode_batch, JournalRecord};
-    use sinclave::replication::ReplicationFrame;
+    use sinclave::replication::{ReplicaRole, ReplicationFrame};
     use sinclave_crypto::aead::AeadKey;
     use sinclave_crypto::rsa::RsaPrivateKey;
     use sinclave_crypto::sha256::Digest;
     use sinclave_net::{Backoff, Connection, Network, Poller, SecureChannel};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A server on a fresh store, and its channel key.
     fn server(seed: u64) -> (Arc<CasServer>, RsaPrivateKey) {
@@ -787,6 +789,84 @@ mod tests {
         assert!(!server.is_following(), "the pump unfollows when it exits");
     }
 
+    /// Polls `cond` every millisecond; fails after `limit`.
+    fn within(limit: Duration, what: &str, cond: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !cond() {
+            assert!(started.elapsed() < limit, "{what} took over {limit:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A pump aimed at an address nobody serves, parked in a 30 s
+    /// backoff after its first failed dial.
+    fn parked_pump(server: &Arc<CasServer>) -> super::FollowerHandle {
+        let backoff = Backoff::new(Duration::from_secs(30), Duration::from_secs(30));
+        let pump = follow(server.clone(), Network::new(), "nobody:7443".into(), 1, backoff);
+        let reconnects = || server.stats.snapshot().replication_reconnects;
+        within(Duration::from_secs(5), "the first failed dial", || reconnects() == 1);
+        pump
+    }
+
+    #[test]
+    fn the_drain_or_a_stop_wakes_a_pump_out_of_its_backoff() {
+        let (drained, _) = server(0x1ac);
+        let pump = parked_pump(&drained);
+        drained.shutdown().unwrap();
+        within(Duration::from_secs(1), "the drain", || !drained.is_following());
+        pump.stop();
+
+        let (stopped, _) = server(0x1ad);
+        let pump = parked_pump(&stopped);
+        let stopping = Instant::now();
+        pump.stop();
+        assert!(stopping.elapsed() < Duration::from_secs(1), "stop took {:?}", stopping.elapsed());
+    }
+
+    #[test]
+    fn a_fixed_backoff_paces_redials_to_a_listener_that_drops_them() {
+        let (server, _) = server(0x1ae);
+        let network = Network::new();
+        let listener = network.listen("dropper:7443");
+        // Accepts and drops every dial until none comes for 500 ms.
+        let dropper = std::thread::spawn(move || {
+            while listener.accept_timeout(Duration::from_millis(500)).is_ok() {}
+        });
+        let backoff = Backoff::new(Duration::from_millis(100), Duration::from_millis(100));
+        let pump = follow(server, network.clone(), "dropper:7443".into(), 1, backoff);
+        std::thread::sleep(Duration::from_secs(1));
+        let dials = network.adversary_dial_log().get("dropper:7443").copied().unwrap_or(0);
+        pump.stop();
+        dropper.join().unwrap();
+        assert!((1..=12).contains(&dials), "{dials} dials in 1 s under a 100 ms backoff");
+    }
+
+    #[test]
+    fn batches_streamed_counts_only_batches_a_live_subscriber_took() {
+        let (server, _) = server(0x1af);
+        let network = Network::new();
+        let listener = serve_replication(&server, &network, "repl:7443", 1, 2);
+        let commit =
+            |fill| server.commit_record(JournalRecord::TokenRedeemed { token: [fill; 32] });
+        let streamed = || server.stats.snapshot().replication_batches_streamed;
+        commit(1).unwrap();
+        assert_eq!(streamed(), 0, "a listener without a subscriber streams nothing");
+
+        let conn = network.connect("repl:7443").unwrap();
+        let mut follower =
+            SecureChannel::client_connect(conn, &mut StdRng::seed_from_u64(3)).unwrap();
+        let hello = ReplicationFrame::Hello { role: ReplicaRole::Subscribe, last_seq: 0, fence: 0 };
+        follower.send(&hello.to_bytes()).unwrap();
+        let baseline = ReplicationFrame::from_bytes(&follower.recv().unwrap()).unwrap();
+        assert!(matches!(baseline, ReplicationFrame::Baseline { high_seq: 1, .. }));
+        for (fill, expected) in [(2, 1), (3, 2)] {
+            commit(fill).unwrap();
+            assert_eq!(streamed(), expected, "one count per batch a subscriber took");
+        }
+        drop(follower);
+        listener.join().unwrap();
+    }
+
     #[test]
     fn lag_gauge_reports_the_last_written_batch_not_the_journal_head() {
         let (server, channel_key) = server(0x1a9);
@@ -798,17 +878,15 @@ mod tests {
             SecureChannel::client_connect(client_end, &mut StdRng::seed_from_u64(2)).unwrap();
         let (sender, receiver) = accepting.join().unwrap().unwrap().split();
 
-        let hub = ReplicationHub::new();
-        server.change_role(|role| role.set_hub(Some(hub.clone())));
         let ready = Poller::new().readiness(7);
-        let mut stream = Stream::open(&server, &hub, sender, receiver, &ready).unwrap();
+        let mut stream = Stream::open(&server, sender, receiver, &ready).unwrap();
         for fill in 1..=3 {
             server.commit_record(JournalRecord::TokenRedeemed { token: [fill; 32] }).unwrap();
         }
         assert_eq!(server.journal_sequence(), 3);
         assert!(matches!(stream.write_next(&server), Step::Continue));
 
-        let (sent_seq, queued, _) = hub.peer_gauges()[0];
+        let (sent_seq, queued, _) = server.hub.peer_gauges()[0];
         assert_eq!((sent_seq, queued), (1, 2), "the gauge must trail the queued batches");
         let baseline = ReplicationFrame::from_bytes(&follower.recv().unwrap()).unwrap();
         assert!(matches!(baseline, ReplicationFrame::Baseline { high_seq: 0, .. }));

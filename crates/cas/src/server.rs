@@ -330,6 +330,8 @@ pub struct CasServer {
     /// Where writes go ([`CasServer::route_write`]); readers clone it
     /// and drop the guard at once.
     role: parking_lot::RwLock<Role>,
+    /// Every replication listener's subscribers; each commit publishes here.
+    pub(crate) hub: ReplicationHub,
     /// Counters.
     pub stats: CasStats,
     /// Per-stage latency histograms, fed by the reactor and (via the
@@ -375,8 +377,8 @@ const READ_ONLY: &str = "read-only replica";
 
 /// Where one write goes, as [`CasServer::route_write`] decided.
 pub(crate) enum Route {
-    /// Commit here, publishing the sealed batch to the hub if any.
-    Local(Option<Arc<ReplicationHub>>),
+    /// Commit here, publishing the sealed batch to the hub.
+    Local,
     /// Linearize through the primary over this link.
     Forward(Arc<ForwardLink>),
     /// Refuse for `reason`; `fenced` when a fence deposed this server.
@@ -386,9 +388,9 @@ pub(crate) enum Route {
 impl Route {
     /// The route as the journaling entry points take it: they cannot
     /// forward, so a follower's write is refused there as read-only.
-    pub(crate) fn local(self) -> Result<Option<Arc<ReplicationHub>>, SinclaveError> {
+    pub(crate) fn local(self) -> Result<(), SinclaveError> {
         match self {
-            Route::Local(hub) => Ok(hub),
+            Route::Local => Ok(()),
             Route::Forward(_) => Err(SinclaveError::JournalInvalid { context: READ_ONLY }),
             Route::Refuse { reason, .. } => Err(SinclaveError::JournalInvalid { context: reason }),
         }
@@ -518,7 +520,8 @@ impl CasServer {
             panic_on_next_ping: AtomicBool::new(false),
             fence: AtomicU64::new(0),
             fence_ceiling: AtomicU64::new(0),
-            role: parking_lot::RwLock::new(Role::Primary { hub: None }),
+            role: parking_lot::RwLock::new(Role::Primary),
+            hub: ReplicationHub::default(),
             stats: CasStats::default(),
             latency,
             tracer,
@@ -717,7 +720,7 @@ impl CasServer {
     /// are abandoned to their own timeouts).
     pub fn shutdown(&self) -> Result<(), SinclaveError> {
         // Read before the drain: a pump that exits on it unfollows.
-        let primary = matches!(self.role(), Role::Primary { .. });
+        let primary = matches!(self.role(), Role::Primary);
         self.draining.store(true, Ordering::SeqCst);
         // Wake parked reactor loops (they may be in a poll wait of up
         // to 60 s) so the drain is noticed now, not at the next tick.
@@ -989,11 +992,7 @@ impl CasServer {
     pub fn promote(&self) -> Result<u64, SinclaveError> {
         let new_fence =
             self.fence.load(Ordering::Relaxed).max(self.fence_ceiling.load(Ordering::Relaxed)) + 1;
-        self.change_role(|role| {
-            if let Role::Follower { .. } = role {
-                *role = Role::Primary { hub: None };
-            }
-        });
+        self.change_role(|role| *role = Role::Primary);
         self.fence.store(new_fence, Ordering::Relaxed);
         self.fence_ceiling.store(new_fence, Ordering::Relaxed);
         self.commit_record(JournalRecord::Fence { fence: new_fence })?;
@@ -1035,7 +1034,7 @@ impl CasServer {
                 Route::Refuse { reason: "server fenced", fenced: true }
             }
             Role::Follower { link: None, .. } => Route::Refuse { reason: READ_ONLY, fenced: false },
-            Role::Primary { hub } => Route::Local(hub),
+            Role::Primary => Route::Local,
         }
     }
 
@@ -1291,7 +1290,7 @@ impl CasServer {
     /// ack it.
     // invariant: journal-before-ack
     pub(crate) fn commit_record(&self, record: JournalRecord) -> Result<(), SinclaveError> {
-        let hub = self.route_write().local()?;
+        self.route_write().local()?;
         let mode = self.journal_mode();
         if mode == JournalMode::Disabled {
             return Ok(());
@@ -1313,8 +1312,7 @@ impl CasServer {
                 // Publish exactly the sealed batch that landed on
                 // disk. Flushes are serialized by the pipe, so
                 // subscribers observe batches in sequence order.
-                if let Some(hub) = &hub {
-                    hub.publish(payload, last_seq);
+                if self.hub.publish(payload, last_seq) {
                     self.stats.replication_batches_streamed.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(())
@@ -1401,7 +1399,7 @@ impl CasServer {
         // every replica; a grant goes where the role routes it.
         if matches!(message, Message::GrantRequest { .. }) {
             match self.route_write() {
-                Route::Local(_) => {}
+                Route::Local => {}
                 Route::Forward(link) => {
                     self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
                     // The trace context travels on the Forward frame with
@@ -1564,7 +1562,7 @@ impl CasServer {
         mrenclave: &Measurement,
     ) -> Result<Measurement, String> {
         match self.route_write() {
-            Route::Local(_) => self.redeem_token(token, mrenclave).map_err(|e| e.to_string()),
+            Route::Local => self.redeem_token(token, mrenclave).map_err(|e| e.to_string()),
             Route::Forward(link) => {
                 self.stats.forwarded_writes.fetch_add(1, Ordering::Relaxed);
                 // Redeem forwards ride a compact token frame that

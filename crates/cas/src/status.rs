@@ -173,18 +173,17 @@ fn render_trace(server: &CasServer) -> String {
         "recorder: pinned={} sampled={} discarded={} dropped={}\n",
         stats.pinned, stats.sampled, stats.discarded, stats.dropped
     ));
-    if let crate::replica::Role::Primary { hub: Some(hub) } = server.role() {
-        // Primary: one gauge line per subscribed follower. `lag` is
-        // the last-acked sequence delta against the local journal.
-        let high = server.journal_sequence();
-        for (index, (sent_seq, queued, age_ns)) in hub.peer_gauges().into_iter().enumerate() {
-            out.push_str(&format!(
-                "follower {index}: sent_seq={sent_seq} lag={} queued_batches={queued} \
-                 stream_age_ms={}\n",
-                high.saturating_sub(sent_seq),
-                age_ns / 1_000_000,
-            ));
-        }
+    // One gauge line per subscribed follower, across every
+    // replication listener. `lag` is the last-acked sequence delta
+    // against the local journal.
+    let high = server.journal_sequence();
+    for (index, (sent_seq, queued, age_ns)) in server.hub.peer_gauges().into_iter().enumerate() {
+        out.push_str(&format!(
+            "follower {index}: sent_seq={sent_seq} lag={} queued_batches={queued} \
+             stream_age_ms={}\n",
+            high.saturating_sub(sent_seq),
+            age_ns / 1_000_000,
+        ));
     }
     if let Some((applied, primary_high, age_ns)) = server.follower_lag() {
         // Follower: how far behind the primary's advertised high

@@ -37,6 +37,8 @@ use std::time::{Duration, Instant};
 const FOLLOWER_ADDR: &str = "cas-follower:443";
 /// The man-in-the-middle relay's address for partition tests.
 const RELAY_ADDR: &str = "cas-relay:7443";
+/// A second replication listener on the primary.
+const REPL_B_ADDR: &str = "cas-repl-b:7443";
 
 fn world(seed: u64) -> World {
     World::new(
@@ -148,6 +150,38 @@ fn follower_adopts_baseline_and_replays_live_commits() {
     // The streamed-but-open token is redeemable exactly once there.
     follower.redeem_token(&t2, &m2).expect("open token redeemable");
     assert!(follower.redeem_token(&t2, &m2).is_err());
+}
+
+#[test]
+fn one_listener_ending_leaves_the_other_listeners_followers_streaming() {
+    // The hub belongs to the server, not to a listener: follower A,
+    // subscribed through listener A, must keep hearing commits while
+    // listener B starts, serves follower B and ends.
+    let w = world(0x2b0b);
+    let repl_a = serve_replication(&w.cas, &w.network, REPL_ADDR, 4, 0x20);
+    let follower_a = w.new_replica();
+    let pump_a =
+        follow(follower_a.clone(), w.network.clone(), REPL_ADDR.into(), 0x21, fast_backoff());
+    grant_token(&w, 29);
+    assert!(w.cas.journal_sequence() > 0);
+    // A adopted a baseline, so it is subscribed from here on.
+    wait_for("A's baseline", || follower_a.journal_sequence() == w.cas.journal_sequence());
+    let repl_b = serve_replication(&w.cas, &w.network, REPL_B_ADDR, 1, 0x22);
+    let follower_b = w.new_replica();
+    let pump_b =
+        follow(follower_b.clone(), w.network.clone(), REPL_B_ADDR.into(), 0x23, fast_backoff());
+
+    grant_token(&w, 30);
+    wait_for("A after B started", || follower_a.journal_sequence() == w.cas.journal_sequence());
+    wait_for("B's stream", || follower_b.journal_sequence() == w.cas.journal_sequence());
+    pump_b.stop();
+    repl_b.join().expect("listener B ends with its one session");
+
+    grant_token(&w, 31);
+    wait_for("A after B ended", || follower_a.journal_sequence() == w.cas.journal_sequence());
+    pump_a.stop();
+    w.cas.shutdown().expect("primary shutdown");
+    repl_a.join().expect("listener A drains");
 }
 
 #[test]
