@@ -83,12 +83,6 @@ fn a_two_node_fleet_runs_fewer_threads_than_one_per_session() {
         0x7c5,
         Backoff::new(Duration::from_millis(2), Duration::from_millis(20)),
     );
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !follower.is_following() {
-        assert!(Instant::now() < deadline, "follower never adopted the baseline");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
     for i in 0..4u64 {
         let conn = w.network.connect(FOLLOWER_ADDR).expect("connect");
         let mut chan =
@@ -102,6 +96,13 @@ fn a_two_node_fleet_runs_fewer_threads_than_one_per_session() {
         assert!(matches!(reply, Message::GrantResponse { .. }), "grant refused: {reply:?}");
     }
     assert_eq!(w.cas.stats.snapshot().grants_issued, 4);
+    // The grants committed on the primary; the follower has them once
+    // it adopted the baseline and replayed the stream.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while follower.journal_sequence() != w.cas.journal_sequence() {
+        assert!(Instant::now() < deadline, "follower never adopted the baseline");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     let fleet = threads() - before;
     let (loops, workers) = (CasServer::default_event_loops(), CasServer::default_workers());

@@ -255,6 +255,9 @@ fn shutdown_drains_replication_sessions_and_follower_pumps() {
     // raises its pump's stop flag so the subscription ends cleanly
     // (no reconnect storm against a drained primary).
     let w = world(0x0b56);
+    // A commit before the follower subscribes, so adopting the
+    // baseline is what brings the two journal sequences level.
+    grant_over_network(&w, 0x71f);
     let follower = w.new_replica();
     let repl = serve_replication(&w.cas, &w.network, REPL_ADDR, 4, 0x11);
     let pump = follow(
@@ -264,12 +267,12 @@ fn shutdown_drains_replication_sessions_and_follower_pumps() {
         0x12,
         Backoff::new(Duration::from_millis(2), Duration::from_millis(20)),
     );
-    wait_for("baseline adoption", || follower.is_following());
+    wait_for("baseline adoption", || follower.journal_sequence() == w.cas.journal_sequence());
     grant_over_network(&w, 0x720);
     wait_for("live replay", || follower.journal_sequence() == w.cas.journal_sequence());
 
-    // Follower-side shutdown raises the registered pump stop: the
-    // pump exits on its next poll and the handle joins promptly.
+    // Follower-side shutdown wakes the parked pump through its
+    // registered wake handle: it exits and the handle joins promptly.
     follower.shutdown().expect("follower shutdown");
     wait_for("pump unsubscribed", || !follower.is_following());
     pump.stop();
