@@ -9,8 +9,9 @@
 //! and exits 1 when any unwaived finding remains, 2 on usage or I/O
 //! errors. Waived findings are listed (with their count) so reviewers
 //! see what the waiver budget is spent on. In `--workspace` mode the
-//! summary line also reports the non-test lines of the serving crates
-//! (see [`workspace::non_test_lines`]).
+//! summary line also reports the non-test lines and the clock sites of
+//! the serving crates (see [`workspace::non_test_lines`] and
+//! [`workspace::clock_sites`]).
 
 #![forbid(unsafe_code)]
 
@@ -124,11 +125,15 @@ fn run() -> Result<bool, String> {
         file_count
     );
     if args.workspace {
-        let counts: Vec<String> = workspace::TRACKED_CRATES
-            .iter()
-            .map(|name| format!("{name} {}", workspace::non_test_lines(&files, name)))
-            .collect();
-        summary.push_str(&format!("; non-test lines: {}", counts.join(", ")));
+        let per_crate = |count: fn(&[SourceFile], &str) -> usize| {
+            let counts: Vec<String> = workspace::TRACKED_CRATES
+                .iter()
+                .map(|name| format!("{name} {}", count(&files, name)))
+                .collect();
+            counts.join(", ")
+        };
+        summary.push_str(&format!("; non-test lines: {}", per_crate(workspace::non_test_lines)));
+        summary.push_str(&format!("; clock sites: {}", per_crate(workspace::clock_sites)));
     }
     println!("{summary}");
     Ok(analysis.findings.is_empty())

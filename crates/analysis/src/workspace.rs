@@ -1,8 +1,8 @@
 //! Workspace file discovery: walks the repository for `.rs` files,
 //! skipping build output, vendored stubs, VCS metadata, and the
 //! analyzer's own rule fixtures (which are violations on purpose).
-//! Also counts the serving crates' non-test lines, the size number
-//! the `--workspace` summary reports.
+//! Also counts the serving crates' non-test lines and clock sites,
+//! the numbers the `--workspace` summary reports.
 
 use std::fs;
 use std::io;
@@ -10,22 +10,45 @@ use std::path::{Path, PathBuf};
 
 use crate::SourceFile;
 
-/// The serving crates whose non-test lines the `--workspace` summary
-/// reports, in report order.
+/// The serving crates whose non-test lines and clock sites the
+/// `--workspace` summary reports, in report order.
 pub const TRACKED_CRATES: &[&str] = &["cas", "net", "fs", "core"];
+
+/// The calls [`clock_sites`] counts: reads of a clock and sleeps.
+pub const CLOCK_CALLS: &[&str] = &["Instant::now", "SystemTime::now", "thread::sleep"];
 
 /// Non-test lines of one crate: for every file under
 /// `crates/<name>/src/`, the lines above its first `#[cfg(test)]`
 /// line (all of its lines when it has none).
 #[must_use]
 pub fn non_test_lines(files: &[SourceFile], name: &str) -> usize {
+    sum_non_test(files, name, |_| 1)
+}
+
+/// Clock sites of one crate: occurrences of [`CLOCK_CALLS`] on the
+/// lines [`non_test_lines`] counts, comment lines skipped.
+#[must_use]
+pub fn clock_sites(files: &[SourceFile], name: &str) -> usize {
+    sum_non_test(files, name, |line| {
+        if line.trim_start().starts_with("//") {
+            return 0;
+        }
+        CLOCK_CALLS.iter().map(|call| line.matches(call).count()).sum()
+    })
+}
+
+/// Sums `per_line` over the non-test lines of crate `name`.
+fn sum_non_test(files: &[SourceFile], name: &str, per_line: impl Fn(&str) -> usize) -> usize {
     let prefix = format!("crates/{name}/src/");
     files
         .iter()
         .filter(|file| file.path.starts_with(&prefix))
         .map(|file| {
             let text = String::from_utf8_lossy(&file.bytes);
-            text.lines().take_while(|line| !line.trim_start().starts_with("#[cfg(test)]")).count()
+            text.lines()
+                .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+                .map(&per_line)
+                .sum::<usize>()
         })
         .sum()
 }
@@ -70,7 +93,7 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 
 #[cfg(test)]
 mod tests {
-    use super::non_test_lines;
+    use super::{clock_sites, non_test_lines};
     use crate::SourceFile;
 
     #[test]
@@ -85,5 +108,25 @@ mod tests {
         assert_eq!(non_test_lines(&files, "cas"), 4);
         assert_eq!(non_test_lines(&files, "net"), 0);
         assert_eq!(non_test_lines(&files, "fs"), 0);
+    }
+
+    #[test]
+    fn counts_clock_calls_on_non_test_code_lines_only() {
+        let file = |path: &str, text: &str| SourceFile::parse(path, text.as_bytes().to_vec());
+        let files = [
+            file(
+                "crates/cas/src/a.rs",
+                "let t = Instant::now(); std::thread::sleep(d);\n\
+                 // Instant::now() in a comment\n\
+                 /// SystemTime::now() in a doc comment\n\
+                 let w = SystemTime::now();\n\
+                 #[cfg(test)]\n\
+                 mod tests { fn t() { Instant::now(); } }\n",
+            ),
+            file("crates/cas/tests/b.rs", "Instant::now();\n"),
+            file("crates/net/src/c.rs", "fn c() {}\n"),
+        ];
+        assert_eq!(clock_sites(&files, "cas"), 3);
+        assert_eq!(clock_sites(&files, "net"), 0);
     }
 }
