@@ -15,7 +15,7 @@ use crate::SourceFile;
 pub const TRACKED_CRATES: &[&str] = &["cas", "net", "fs", "core"];
 
 /// The calls [`clock_sites`] counts: reads of a clock and sleeps.
-pub const CLOCK_CALLS: &[&str] = &["Instant::now", "SystemTime::now", "thread::sleep"];
+const CLOCK_CALLS: &[&str] = &["Instant::now", "SystemTime::now", "thread::sleep"];
 
 /// Non-test lines of one crate: for every file under
 /// `crates/<name>/src/`, the lines above its first `#[cfg(test)]`
@@ -25,8 +25,9 @@ pub fn non_test_lines(files: &[SourceFile], name: &str) -> usize {
     sum_non_test(files, name, |_| 1)
 }
 
-/// Clock sites of one crate: occurrences of [`CLOCK_CALLS`] on the
-/// lines [`non_test_lines`] counts, comment lines skipped.
+/// Clock sites of one crate: occurrences of `Instant::now`,
+/// `SystemTime::now` and `thread::sleep` on the lines
+/// [`non_test_lines`] counts, comment lines skipped.
 #[must_use]
 pub fn clock_sites(files: &[SourceFile], name: &str) -> usize {
     sum_non_test(files, name, |line| {
