@@ -846,7 +846,7 @@ fn step_raw(state: &mut ConnState, server: &CasServer, listen: &Listen) -> Step 
     };
     // Handshake flights stay on the loop, KEM decapsulation included.
     // That is not free: a CRT decapsulation under an RSA-1024 channel
-    // key costs ≈0.12 ms on a 2-vCPU x86-64 host with AVX-512 IFMA,
+    // key costs ≈0.07 ms on a 2-vCPU x86-64 host with AVX-512 IFMA,
     // both halves on this thread (`ablation/rsa-crt/kem-decapsulate-crt`;
     // ≈0.26 ms on the portable kernel, which offers one half to a
     // helper thread), during which this loop's other connections wait.

@@ -122,8 +122,9 @@ pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
 const STREAM: u64 = 0;
 const WAKE: u64 = 1;
 
-/// Per-round-trip deadline on a forward link: a dead primary costs a
-/// forwarded write one bounded wait, not a hang.
+/// Per-receive deadline on a forward link, handshake included: a dead
+/// or silent primary costs a forwarded write one bounded wait per
+/// attempt, not a hang.
 const FORWARD_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One registered replication subscriber: a queue of sealed batch
@@ -716,11 +717,13 @@ impl ForwardLink {
         rng: &mut StdRng,
     ) -> Option<SecureChannel> {
         let conn = network.connect(addr).ok()?;
+        // Bounds the handshake's wait for the server hello too; the
+        // channel keeps the connection's timeout.
+        conn.set_recv_timeout(Some(FORWARD_TIMEOUT));
         let mut chan = SecureChannel::client_connect(conn, rng).ok()?;
         if chan.server_key_fingerprint() != *pin {
             return None; // hijacker terminating the link with their own key
         }
-        chan.set_recv_timeout(Some(FORWARD_TIMEOUT));
         let hello = ReplicationFrame::Hello { role: ReplicaRole::Forward, last_seq: 0, fence: 0 };
         chan.send(&hello.to_bytes()).ok()?;
         let ack = chan.recv().ok()?;
@@ -735,13 +738,14 @@ impl ForwardLink {
 
 #[cfg(test)]
 mod tests {
-    use super::{follow, forward_reply, serve_replication, Stream};
+    use super::{follow, forward_reply, serve_replication, ForwardLink, Stream};
     use crate::reactor::Step;
     use crate::server::CasServer;
     use crate::store::CasStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sinclave::journal_record::{decode_batch, JournalRecord};
+    use sinclave::protocol::Message;
     use sinclave::replication::{ReplicaRole, ReplicationFrame};
     use sinclave_crypto::aead::AeadKey;
     use sinclave_crypto::rsa::RsaPrivateKey;
@@ -839,6 +843,31 @@ mod tests {
         pump.stop();
         dropper.join().unwrap();
         assert!((1..=12).contains(&dials), "{dials} dials in 1 s under a 100 ms backoff");
+    }
+
+    #[test]
+    fn a_silent_primary_holds_a_forwarded_write_for_the_forward_timeout_only() {
+        let network = Network::new();
+        let listener = network.listen("silent:7443");
+        // Accepts both dials and holds them without a word until the
+        // forward has returned.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let held: Vec<Connection> = (0..2)
+                .filter_map(|_| listener.accept_timeout(Duration::from_secs(30)).ok())
+                .collect();
+            let _ = done_rx.recv_timeout(Duration::from_secs(30));
+            held.len()
+        });
+        let link = ForwardLink::new(network, "silent:7443", Digest([0; 32]), 4);
+        let request = Message::GrantRequest { common_sigstruct: vec![1], base_hash: vec![2] };
+        let started = Instant::now();
+        let outcome = link.forward(&request, None);
+        let elapsed = started.elapsed();
+        done_tx.send(()).unwrap();
+        assert_eq!(outcome.err().as_deref(), Some("primary unreachable"));
+        assert!(elapsed < Duration::from_millis(1500), "forward took {elapsed:?}");
+        assert_eq!(silent.join().unwrap(), 2, "both attempts dialed");
     }
 
     #[test]

@@ -130,8 +130,7 @@ use sinclave_sgx::report::ReportBody;
 use sinclave_sgx::sigstruct::SigStruct;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Weak;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// The snapshot cadence a new server starts with: checkpoint, and so
@@ -362,9 +361,11 @@ pub struct CasServer {
     /// shutdown so a loop waiting out its (up to 60 s) poll tick
     /// notices the drain immediately.
     drain_wakers: parking_lot::Mutex<Vec<Weak<Readiness>>>,
-    /// Live reactors; [`CasServer::shutdown`] waits for none to be left
-    /// before persisting.
-    active_serves: AtomicU64,
+    /// Live reactors; [`CasServer::shutdown`] waits on `serve_ended`
+    /// for none to be left before persisting.
+    active_serves: Mutex<u64>,
+    /// Notified by every [`ServeGuard`] release.
+    serve_ended: Condvar,
     /// The `journal_append_failed` count the last health probe saw —
     /// the probe reports Degraded while the counter moves between
     /// probes (appends failing *now*), not forever after one historic
@@ -416,14 +417,15 @@ pub(crate) struct ServeGuard {
 impl ServeGuard {
     /// Registers one reactor; move the guard into its thread.
     pub(crate) fn register(server: &Arc<CasServer>) -> ServeGuard {
-        server.active_serves.fetch_add(1, Ordering::SeqCst);
+        *server.active_serves.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         ServeGuard { server: Arc::clone(server) }
     }
 }
 
 impl Drop for ServeGuard {
     fn drop(&mut self) {
-        self.server.active_serves.fetch_sub(1, Ordering::SeqCst);
+        *self.server.active_serves.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.server.serve_ended.notify_all();
     }
 }
 
@@ -530,7 +532,8 @@ impl CasServer {
             replication_stream_ns: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             drain_wakers: parking_lot::Mutex::new(Vec::new()),
-            active_serves: AtomicU64::new(0),
+            active_serves: Mutex::new(0),
+            serve_ended: Condvar::new(),
             health_journal_failed_seen: AtomicU64::new(0),
         };
         // Feed the issuer's verify/sign stage latencies into the
@@ -731,10 +734,9 @@ impl CasServer {
         }
         // Wait (bounded) for the serving threads to finish in-flight
         // requests and exit their accept loops.
-        let deadline = Instant::now() + sinclave_net::bus::RECV_TIMEOUT;
-        while self.active_serves.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let active = self.active_serves.lock().unwrap_or_else(PoisonError::into_inner);
+        let timeout = sinclave_net::bus::RECV_TIMEOUT;
+        drop(self.serve_ended.wait_timeout_while(active, timeout, |active| *active > 0));
         if !primary || self.is_fenced() {
             return Ok(());
         }

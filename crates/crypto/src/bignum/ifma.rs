@@ -14,13 +14,18 @@
 //! # Representation
 //!
 //! A value is `8·V` radix-2^52 digits held in `V` 512-bit vectors, one
-//! digit per 64-bit lane, least significant first. The vector count
-//! `V` is the smallest for which `R = 2^(52·8V)` exceeds four times
-//! the modulus; the kernel is one function generic over `V`,
-//! instantiated for `V = 1..=8`, which covers moduli of up to 3,326
-//! bits: every RSA-3072 CRT half (1536 bits, `V = 4`) and full-width
-//! public operation (`V = 8`), and the 1024-bit channel keys' halves
-//! (`V = 2`). Wider moduli stay on the portable kernels.
+//! digit per 64-bit lane, least significant first. Each modulus has a
+//! step count `D`, the fewest digits for which `R = 2^(52·D)` exceeds
+//! four times the modulus: `D = ⌈(bits + 2)/52⌉`, and `V = ⌈D/8⌉`.
+//! Every value the kernel handles is below `2n < 2^(52·D)`, so lanes
+//! `D` and above stay zero, and a product scans only the first `D`
+//! digits of `b`, as OpenSSL's `amm52x20` (1024-bit moduli) and
+//! `amm52x30` (1536-bit) do. The kernel is one function generic over
+//! `V`, instantiated for `V = 1..=8`, which covers moduli of up to
+//! 3,326 bits (`D = 64`): every RSA-3072 CRT half (1536 bits, `D = 30`,
+//! `V = 4`) and full-width public operation (`D = 60`, `V = 8`), and
+//! the 1024-bit channel keys' halves (`D = 10`, `V = 2`). Wider moduli
+//! stay on the portable kernels.
 //!
 //! # Almost-Montgomery multiplication
 //!
@@ -60,10 +65,11 @@
 //! 1 until its first window.
 //!
 //! On a 2-vCPU Sapphire Rapids host the pair of 1536-bit halves of an
-//! RSA-3072 signature takes ≈0.75–0.85 ms, against ≈1.2–1.25 ms for
-//! the two single-stream exponentiations in sequence (1.5–1.6×); for
-//! the 512-bit halves of an RSA-1024 key the ratio is ≈1.75×
-//! (`ablation/mont-sqr/pow-pair-1536`, `pow-1536-x2-sequential`). A
+//! RSA-3072 signature takes ≈0.74–0.78 ms, against ≈1.05–1.11 ms for
+//! the two single-stream exponentiations in sequence (≈1.4×)
+//! (`ablation/mont-sqr/pow-pair-1536`, `pow-1536-x2-sequential`); a
+//! whole RSA-1024 decapsulation, two 512-bit halves of 10 steps each,
+//! takes ≈0.07 ms (`ablation/rsa-crt/kem-decapsulate-crt`). A
 //! private-key operation then needs no second thread, so it costs the
 //! same whether or not the host's other vCPU is free.
 //!
@@ -109,19 +115,21 @@ pub(super) fn available() -> bool {
     }
 }
 
-/// The vector count for a modulus of `bits` bits: the smallest `V`
-/// with `2^(52·8V) >= 2^(bits + 2) > 4n`, or `None` beyond the widest
+/// The step count for a modulus of `bits` bits: the smallest `D` with
+/// `2^(52·D) >= 2^(bits + 2) > 4n`, or `None` beyond the widest
 /// instantiation.
-fn vectors_for(bits: usize) -> Option<usize> {
-    let vectors = (bits + 2).div_ceil(DIGIT_BITS * LANES);
-    (vectors <= MAX_VECTORS).then_some(vectors)
+fn steps_for(bits: usize) -> Option<usize> {
+    let steps = (bits + 2).div_ceil(DIGIT_BITS);
+    (steps <= LANES * MAX_VECTORS).then_some(steps)
 }
 
 /// Per-modulus constants of the IFMA kernel, in radix 2^52.
 #[derive(Clone)]
 pub(super) struct Context {
-    /// Vectors per value (`V`).
+    /// Vectors per value (`V = ⌈D/8⌉`).
     vectors: usize,
+    /// Digit steps per product (`D`), with `R = 2^(52·D)`.
+    steps: usize,
     /// The modulus, kept in radix 64 for the final reduction.
     modulus: Uint,
     /// The modulus digits.
@@ -139,6 +147,7 @@ impl fmt::Debug for Context {
         f.debug_struct("IfmaContext")
             .field("bits", &self.modulus.bit_len())
             .field("vectors", &self.vectors)
+            .field("steps", &self.steps)
             .finish()
     }
 }
@@ -152,14 +161,16 @@ impl Context {
         if !available() {
             return None;
         }
-        let vectors = vectors_for(n.bit_len())?;
+        let steps = steps_for(n.bit_len())?;
+        let vectors = steps.div_ceil(LANES);
         let digits = vectors * LANES;
         Some(Context {
             vectors,
+            steps,
             modulus: n.clone(),
             n: to_radix52(n, digits),
-            r1: to_radix52(&Uint::one().shl(DIGIT_BITS * digits).rem_ref(n), digits),
-            r2: to_radix52(&Uint::one().shl(2 * DIGIT_BITS * digits).rem_ref(n), digits),
+            r1: to_radix52(&Uint::one().shl(DIGIT_BITS * steps).rem_ref(n), digits),
+            r2: to_radix52(&Uint::one().shl(2 * DIGIT_BITS * steps).rem_ref(n), digits),
             k0: n0_inv & DIGIT_MASK,
         })
     }
@@ -180,14 +191,14 @@ impl Context {
     /// `bases[1]^exps[1]` modulo `other`'s, both on the calling thread:
     /// the two-stream kernel interleaves the two exponentiations digit
     /// step by digit step. `None` when the two moduli take different
-    /// vector counts.
+    /// step counts.
     pub(super) fn pow_pair(
         &self,
         other: &Context,
         bases: [&Uint; 2],
         exps: [&Uint; 2],
     ) -> Option<(Uint, Uint)> {
-        if other.vectors != self.vectors {
+        if other.steps != self.steps {
             return None;
         }
         let contexts = [self, other];
@@ -241,7 +252,8 @@ fn run_pair<const V: usize>(
     exps: [&Uint; 2],
 ) -> [Vec<u64>; 2] {
     // SAFETY: as in `run`; `Context::pow_pair` checked that both
-    // contexts have `V` vectors, so every slice holds `8·V` digits.
+    // contexts have one step count, hence `V` vectors, so every slice
+    // holds `8·V` digits.
     unsafe { kernel::pow_pair::<V>(contexts, bases, exps) }
 }
 
@@ -308,13 +320,19 @@ mod kernel {
         n: [__m512i; V],
         /// `k0` in every lane.
         k0: __m512i,
+        /// Digit steps per product (`D`).
+        steps: usize,
     }
 
     impl<const V: usize> Modulus<V> {
         #[inline]
         #[target_feature(enable = "avx512f")]
         fn new(context: &Context) -> Self {
-            Modulus { n: load(&context.n), k0: _mm512_set1_epi64(context.k0 as i64) }
+            Modulus {
+                n: load(&context.n),
+                k0: _mm512_set1_epi64(context.k0 as i64),
+                steps: context.steps,
+            }
         }
     }
 
@@ -357,7 +375,7 @@ mod kernel {
         store(&amm(&acc, &one(), &m))
     }
 
-    /// [`pow`] for two moduli of `V` vectors at once: the digits of
+    /// [`pow`] for two moduli of one step count at once: the digits of
     /// `bases[s]^exps[s]` modulo `contexts[s]`'s modulus, each `<=` it.
     ///
     /// The two exponentiations share one schedule, so every product is
@@ -423,14 +441,15 @@ mod kernel {
     }
 
     /// One almost-Montgomery product `a·b·R⁻¹ mod n`, below `2n` for
-    /// inputs below `2n`, with normalised digits.
+    /// inputs below `2n`, with normalised digits. Only the first `D`
+    /// digits of `b` can be nonzero, so only they are scanned.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn amm<const V: usize>(a: &[__m512i; V], b: &[__m512i; V], m: &Modulus<V>) -> [__m512i; V] {
         let a0k0 = a0k0(a, m);
         let b = b.map(digits);
         let mut acc = [_mm512_setzero_si512(); V];
-        for bi in b.as_flattened() {
+        for bi in &b.as_flattened()[..m.steps] {
             step(&mut acc, a, _mm512_set1_epi64(*bi as i64), a0k0, m);
         }
         normalize(acc)
@@ -439,7 +458,8 @@ mod kernel {
     /// Two independent almost-Montgomery products, `a[s]·b[s]·R⁻¹`
     /// modulo `m[s]`, with their digit steps interleaved. One product's
     /// step waits on its own previous step through `y`; the other
-    /// product's step fills the vector units meanwhile.
+    /// product's step fills the vector units meanwhile. Both moduli
+    /// have the same step count `D`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn amm2<const V: usize>(
@@ -450,7 +470,8 @@ mod kernel {
         let a0k0 = [a0k0(a[0], &m[0]), a0k0(a[1], &m[1])];
         let b = [b[0].map(digits), b[1].map(digits)];
         let mut acc = [[_mm512_setzero_si512(); V]; 2];
-        for (b0, b1) in b[0].as_flattened().iter().zip(b[1].as_flattened()) {
+        let steps = m[0].steps;
+        for (b0, b1) in b[0].as_flattened()[..steps].iter().zip(&b[1].as_flattened()[..steps]) {
             step(&mut acc[0], a[0], _mm512_set1_epi64(*b0 as i64), a0k0[0], &m[0]);
             step(&mut acc[1], a[1], _mm512_set1_epi64(*b1 as i64), a0k0[1], &m[1]);
         }
@@ -517,7 +538,7 @@ mod kernel {
     }
 
     /// Propagates carries so every lane holds one 52-bit digit. The
-    /// value is below `R`, so nothing carries out of the top lane.
+    /// value is below `R`, so nothing carries out of lane `D − 1`.
     #[inline]
     #[target_feature(enable = "avx512f")]
     fn normalize<const V: usize>(acc: [__m512i; V]) -> [__m512i; V] {

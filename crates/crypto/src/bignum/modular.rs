@@ -22,15 +22,16 @@ use std::sync::OnceLock;
 ///   products, eight digits per instruction, for moduli of up to 3,326
 ///   bits on CPUs with `avx512f` and `avx512ifma`
 ///   ([`crate::bignum::ifma_available`]). Its constants (`R mod n` and
-///   `R² mod n` for `R = 2^(52·8V)`, two more divisions) are built on
-///   the context's first `pow`, so a parsed key that never
+///   `R² mod n` for `R = 2^(52·D)`, where `D = ⌈(bits + 2)/52⌉` is the
+///   number of digit steps in one product; two more divisions) are
+///   built on the context's first `pow`, so a parsed key that never
 ///   exponentiates does not pay for them. A 1536-bit RSA-3072 CRT half
-///   takes ≈0.6–0.7 ms on a 2-vCPU Sapphire Rapids host, against
-///   ≈3.5–3.8 ms on the portable kernel (`ablation/mont-sqr/pow-1536*`).
-///   [`Montgomery::pow_pair`] runs two exponentiations under two
-///   contexts of one width on its two-stream kernel, both halves of a
-///   CRT private-key operation on one thread, in ≈0.65 of the time of
-///   two `pow`s.
+///   takes ≈0.53–0.55 ms on a 2-vCPU Sapphire Rapids host, against
+///   ≈2.2–2.5 ms on the portable mul-only kernel
+///   (`ablation/mont-sqr/pow-1536*`). [`Montgomery::pow_pair`] runs two
+///   exponentiations under two contexts of one step count on its
+///   two-stream kernel, both halves of a CRT private-key operation on
+///   one thread, in ≈0.7 of the time of two `pow`s.
 /// * **Portable** — CIOS multiplication and SOS squaring over 64-bit
 ///   limbs, everywhere else. [`Montgomery::pow_mul_only`],
 ///   [`Montgomery::mul`] and [`Montgomery::sqr`] always run it; it is
@@ -369,7 +370,8 @@ impl Montgomery {
     /// thread on the two-stream IFMA kernel, which interleaves the two
     /// exponentiations' products. The results equal two
     /// [`Montgomery::pow`] calls. `None` unless both contexts have IFMA
-    /// kernels of the same width; the caller then runs the two `pow`s.
+    /// kernels of the same step count, as moduli of one bit length do;
+    /// the caller then runs the two `pow`s.
     #[must_use]
     pub fn pow_pair(
         &self,
@@ -825,6 +827,65 @@ mod tests {
         assert!(ifma::Context::new(&too_wide, 1).is_none());
     }
 
+    #[test]
+    fn ifma_pow_bit_identical_to_portable_at_every_step_count() {
+        // For each step count `D`, the widest modulus it takes
+        // (`bits + 2 = 52·D`; one bit more needs `D + 1`) and the
+        // narrowest (`bits + 2 = 52·(D − 1) + 1`; for `D = 1`, the
+        // smallest modulus, 3), on the single- and two-stream kernels.
+        // Exponents: the short edge cases, then a 256-bit one that
+        // reaches every table entry. Full-width exponents are covered
+        // at every vector count above; at all 128 moduli they would
+        // cost about a minute unoptimized.
+        let long = wide(4, 93);
+        for steps in 1..=64usize {
+            for bits in [52 * steps - 2, (52 * steps).saturating_sub(53).max(2)] {
+                let (m0, m1) = (odd_modulus(bits, 90), odd_modulus(bits, 91));
+                let (Some(c0), Some(c1)) = (ifma_context(&m0), ifma_context(&m1)) else { return };
+                for context in [&c0, &c1] {
+                    let debug = format!("{context:?}");
+                    assert!(
+                        debug.ends_with(&format!(" steps: {steps} }}")),
+                        "{bits} bits: {debug}"
+                    );
+                }
+                let (p0, p1) = (Montgomery::new(&m0).unwrap(), Montgomery::new(&m1).unwrap());
+                let (bases0, exponents) = edge_cases(&m0, bits as u64);
+                let (bases1, _) = edge_cases(&m1, bits as u64 + 1);
+                for e in &exponents[..4] {
+                    for a in &bases0 {
+                        assert_eq!(c0.pow(a, e), p0.pow_impl(a, e, true), "{bits} bits, a = {a:?}");
+                    }
+                }
+                // Every base on each side, each exponent pair in turn.
+                let pairs = exponent_pairs();
+                for (j, (a0, a1)) in bases0.iter().zip(bases1.iter().rev()).enumerate() {
+                    let (e0, e1) = &pairs[j % pairs.len()];
+                    let pair = c0.pow_pair(&c1, [a0, a1], [e0, e1]).expect("same step count");
+                    let portable = (p0.pow_impl(a0, e0, true), p1.pow_impl(a1, e1, true));
+                    assert_eq!(pair, portable, "{bits} bits, base {j}");
+                }
+                let (a0, a1) = (&bases0[7], &bases1[5]);
+                let reference = (p0.pow_mul_only(a0, &long), p1.pow_mul_only(a1, &exponents[3]));
+                assert_eq!(c0.pow(a0, &long), reference.0, "{bits} bits");
+                let pair = c0.pow_pair(&c1, [a0, a1], [&long, &exponents[3]]);
+                assert_eq!(pair, Some(reference), "{bits} bits");
+            }
+        }
+    }
+
+    #[test]
+    fn ifma_steps_at_rsa_widths() {
+        // `D = ⌈(bits + 2)/52⌉`: the RSA-1024 and RSA-3072 CRT halves,
+        // and both keys' full-width public operations.
+        for (bits, steps, vectors) in [(512, 10, 2), (1024, 20, 3), (1536, 30, 4), (3072, 60, 8)] {
+            let Some(context) = ifma_context(&odd_modulus(bits, 92)) else { return };
+            let expected =
+                format!("IfmaContext {{ bits: {bits}, vectors: {vectors}, steps: {steps} }}");
+            assert_eq!(format!("{context:?}"), expected);
+        }
+    }
+
     /// Exponent pairs for the two-stream kernel: unequal bit lengths
     /// either way round, a zero exponent on either side, and runs of
     /// zero windows (`0x1_0000_0001`).
@@ -890,6 +951,15 @@ mod tests {
         // The doubling-built reference never runs on IFMA.
         let reference = Montgomery::new_by_doubling(&odd_modulus(512, 85)).unwrap();
         assert_eq!(m512.pow_pair(&reference, [&a, &a], [&e, &e]), None);
+        // One vector count (`V = 2`), two step counts (`D = 10, 11`).
+        let [m518, m519] = [518, 519].map(|bits| Montgomery::new(&odd_modulus(bits, 86)).unwrap());
+        assert_eq!(m518.pow_pair(&m519, [&a, &a], [&e, &e]), None);
+        if ifma::available() {
+            for (mont, steps) in [(&m518, 10), (&m519, 11)] {
+                let debug = format!("{:?}", mont.ifma_context().expect("fits the kernel"));
+                assert!(debug.ends_with(&format!("vectors: 2, steps: {steps} }}")), "{debug}");
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!
 //!   Where the CPU has AVX-512 IFMA, both halves run on the calling
 //!   thread on the two-stream IFMA kernel ([`Montgomery::pow_pair`]),
-//!   which interleaves them: an RSA-3072 signature costs ≈0.8–0.9 ms
+//!   which interleaves them: an RSA-3072 signature costs ≈0.8 ms
 //!   on a 2-vCPU Sapphire Rapids host, whether or not the other vCPU
-//!   is busy, and an RSA-1024 decapsulation ≈0.11–0.12 ms
+//!   is busy, and an RSA-1024 decapsulation ≈0.07 ms
 //!   (`ablation/mont-sqr`, `ablation/rsa-crt`). Running the halves on
 //!   two threads instead gains nothing on that host whenever its two
 //!   vCPUs share one core, which they intermittently do. Elsewhere each half
