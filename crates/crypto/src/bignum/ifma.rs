@@ -54,7 +54,9 @@
 //! start two independent 512-bit multiply-adds per cycle, and a step of
 //! a 1536-bit product issues about twenty. [`Context::pow_pair`] runs
 //! two exponentiations of one width, `x^dp mod p` and `x^dq mod q` of a
-//! CRT private-key operation, in lockstep on the calling thread. Each
+//! CRT private-key operation, in lockstep on the calling thread (or
+//! two Miller–Rabin rounds in key generation, whose two streams may
+//! share one modulus and so one context). Each
 //! of its products is a pair whose digit steps alternate, so while one
 //! stream waits for its `y` the other's multiply-adds fill the vector
 //! units (the "x2" scheme of OpenSSL's `rsaz-*-avx512`). Both streams

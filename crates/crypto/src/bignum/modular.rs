@@ -29,9 +29,10 @@ use std::sync::OnceLock;
 ///   takes ≈0.53–0.55 ms on a 2-vCPU Sapphire Rapids host, against
 ///   ≈2.2–2.5 ms on the portable mul-only kernel
 ///   (`ablation/mont-sqr/pow-1536*`). [`Montgomery::pow_pair`] runs two
-///   exponentiations under two contexts of one step count on its
-///   two-stream kernel, both halves of a CRT private-key operation on
-///   one thread, in ≈0.7 of the time of two `pow`s.
+///   exponentiations under two contexts of one step count (or one
+///   context twice) on its two-stream kernel, in ≈0.7 of the time of
+///   two `pow`s: both halves of a CRT private-key operation on one
+///   thread, and Miller–Rabin rounds in key generation.
 /// * **Portable** — CIOS multiplication and SOS squaring over 64-bit
 ///   limbs, everywhere else. [`Montgomery::pow_mul_only`],
 ///   [`Montgomery::mul`] and [`Montgomery::sqr`] always run it; it is
@@ -371,7 +372,9 @@ impl Montgomery {
     /// exponentiations' products. The results equal two
     /// [`Montgomery::pow`] calls. `None` unless both contexts have IFMA
     /// kernels of the same step count, as moduli of one bit length do;
-    /// the caller then runs the two `pow`s.
+    /// the caller then runs the two `pow`s. `other` may be this very
+    /// context: key generation runs two Miller–Rabin rounds of one
+    /// candidate that way.
     #[must_use]
     pub fn pow_pair(
         &self,

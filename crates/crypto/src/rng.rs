@@ -2,6 +2,33 @@
 
 use crate::bignum::Uint;
 use rand::RngCore;
+use std::convert::Infallible;
+
+/// A source of random bytes, read one draw at a time: each
+/// [`ByteSource::fill`] call is one draw of `dest.len()` bytes.
+///
+/// Every generator is one. The prime search also reads through a
+/// queue of draws it made ahead of time, and through a bounded reader
+/// that runs dry (see `prime.rs`); [`uint_with_bits`] and
+/// [`uint_below`] are written once over this trait, so the search and
+/// its lookahead turn draws into integers by one implementation.
+pub(crate) trait ByteSource {
+    /// Why a draw can fail: [`Infallible`] for a source that never
+    /// runs dry.
+    type Dry;
+
+    /// Fills `dest` with the next draw.
+    fn fill(&mut self, dest: &mut [u8]) -> Result<(), Self::Dry>;
+}
+
+impl<R: RngCore + ?Sized> ByteSource for R {
+    type Dry = Infallible;
+
+    fn fill(&mut self, dest: &mut [u8]) -> Result<(), Infallible> {
+        self.fill_bytes(dest);
+        Ok(())
+    }
+}
 
 /// Returns a uniformly random integer with exactly `bits` significant
 /// bits (top bit forced to one).
@@ -10,13 +37,23 @@ use rand::RngCore;
 ///
 /// Panics if `bits` is zero.
 pub fn uint_with_bits<R: RngCore + ?Sized>(rng: &mut R, bits: usize) -> Uint {
+    let Ok(v) = with_bits_from(rng, bits);
+    v
+}
+
+/// [`uint_with_bits`] over any byte source: one draw of `⌈bits/8⌉`
+/// bytes.
+pub(crate) fn with_bits_from<S: ByteSource + ?Sized>(
+    source: &mut S,
+    bits: usize,
+) -> Result<Uint, S::Dry> {
     assert!(bits > 0, "cannot sample a 0-bit integer");
     let byte_len = bits.div_ceil(8);
     let mut bytes = vec![0u8; byte_len];
-    rng.fill_bytes(&mut bytes);
+    source.fill(&mut bytes)?;
     let mut v = Uint::from_be_bytes(&bytes).shr(byte_len * 8 - bits);
     v.set_bit(bits - 1);
-    v
+    Ok(v)
 }
 
 /// Returns a uniformly random integer in `[0, bound)` by rejection
@@ -26,16 +63,26 @@ pub fn uint_with_bits<R: RngCore + ?Sized>(rng: &mut R, bits: usize) -> Uint {
 ///
 /// Panics if `bound` is zero.
 pub fn uint_below<R: RngCore + ?Sized>(rng: &mut R, bound: &Uint) -> Uint {
+    let Ok(v) = below_from(rng, bound);
+    v
+}
+
+/// [`uint_below`] over any byte source: draws of
+/// `⌈bound.bit_len()/8⌉` bytes until one lands below `bound`.
+pub(crate) fn below_from<S: ByteSource + ?Sized>(
+    source: &mut S,
+    bound: &Uint,
+) -> Result<Uint, S::Dry> {
     assert!(!bound.is_zero(), "empty sampling range");
     let bits = bound.bit_len();
     let byte_len = bits.div_ceil(8);
     let excess_bits = byte_len * 8 - bits;
     loop {
         let mut bytes = vec![0u8; byte_len];
-        rng.fill_bytes(&mut bytes);
+        source.fill(&mut bytes)?;
         let v = Uint::from_be_bytes(&bytes).shr(excess_bits);
         if &v < bound {
-            return v;
+            return Ok(v);
         }
     }
 }

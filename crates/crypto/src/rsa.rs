@@ -32,9 +32,14 @@
 //!   is one portable [`Montgomery::pow`] (≈3.5–3.8 ms per 1536-bit
 //!   half): the calling thread takes the p half while one of the
 //!   crate's long-lived helper threads takes the q half, unless the
-//!   caller finishes first and takes it back. Miller–Rabin rounds in
-//!   key generation run single-stream [`Montgomery::pow`], on IFMA
-//!   where the CPU has it.
+//!   caller finishes first and takes it back.
+//! * **Key generation** (once per key, outside any start) runs its
+//!   Miller–Rabin rounds in pairs on the same two-stream kernel:
+//!   round 1 of two candidates at once, then an accepted candidate's
+//!   other 31 rounds two at a time under its one context. With trial
+//!   division up to 2^14 this halves key generation (RSA-3072 median
+//!   ≈140 → ≈70 ms over 20 seeds on that host) and draws the same
+//!   bytes, so seeded keys are unchanged ([`crate::prime`]).
 //! * **Public-key operations** (exponent 65537) also run on the IFMA
 //!   kernel where it is available; the first one on a freshly parsed
 //!   key also builds the kernel's constants (two divisions). Per
