@@ -58,14 +58,29 @@
 //!   [`JournalRecord::Fence`](sinclave::journal_record::JournalRecord)
 //!   record that continues the primary's sequence numbering.
 //!
-//! An acked redemption therefore cannot replay fleet-wide: the ack
-//! implies a durable journal record on the then-primary; a promoted
-//! follower either replayed that record (and refuses the token as
-//! spent) or the record is above its high sequence — in which case
-//! the old primary was partitioned, its ack raced the promotion, and
-//! the *fence* guarantees it could not have committed the record
-//! after the promotion's fence reached it. The fault harness in
-//! `tests/replication.rs` sweeps exactly these windows.
+//! The fence stops a deposed primary only from the moment it observes
+//! the new fence, and an ack needs no copy on any follower. So the
+//! deployment must keep a precondition: **promote a follower only once
+//! it has replayed every record the old primary acked, and the old
+//! primary has observed the new fence or is down.** Under it an acked
+//! redemption cannot replay fleet-wide: the ack implies a durable
+//! journal record on the then-primary, the promoted follower replayed
+//! that record and refuses the token as spent, and the old primary,
+//! deposed or down, commits nothing after the promotion. The fault
+//! harness in `tests/replication.rs` sweeps these windows with the
+//! precondition kept: the follower catches up, then is promoted, and
+//! the fence reaches the old primary before its next write.
+//!
+//! Nothing in the code enforces the precondition, and `promote` needs
+//! no contact with the old primary. A partition that spans the
+//! promotion leaves the old primary acking writes under its old fence
+//! until a `Hello` carrying the new ceiling reaches it, while the
+//! promoted follower acks under the new one; a redemption acked
+//! before the promotion but not yet streamed is unknown to the new
+//! primary. Either way one token can be acked as redeemed twice, and
+//! one singleton can start twice. Acks and promotions that each need a
+//! majority of the fleet would close that window; the fleet has
+//! neither yet.
 //!
 //! # Consistency story (honest version)
 //!
@@ -122,10 +137,12 @@ pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
 const STREAM: u64 = 0;
 const WAKE: u64 = 1;
 
-/// Per-receive deadline on a forward link, handshake included: a dead
-/// or silent primary costs a forwarded write one bounded wait per
-/// attempt, not a hang.
-const FORWARD_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a follower waits for the primary while it dials: the
+/// server hello of both handshakes (the pump's and a forward link's),
+/// and every reply on a forward link. A dead or silent primary costs a
+/// forwarded write, or a pump's [`FollowerHandle::stop`], one bounded
+/// wait per attempt, not a hang.
+const LINK_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One registered replication subscriber: a queue of sealed batch
 /// payloads in commit order, each with the last journal sequence it
@@ -473,7 +490,9 @@ impl FollowerHandle {
     /// Stops and wakes the pump, and joins it. After this returns the
     /// replica applies nothing further from the old stream — the
     /// precondition for [`CasServer::promote`](crate::CasServer::promote).
-    /// The pump's exit makes the `unfollow` transition.
+    /// The pump's exit makes the `unfollow` transition. The wake cannot
+    /// end a handshake in progress, so against a primary that accepted
+    /// the dial and stays silent this waits out `LINK_TIMEOUT` (500 ms).
     pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
         self.wake.signal();
@@ -537,8 +556,11 @@ fn pump_once(
     backoff: &mut Backoff,
 ) {
     let Ok(conn) = network.connect(addr) else { return };
-    // The watch moves into the channel with the connection.
+    // The watch moves into the channel with the connection. The wake
+    // handle cannot end the handshake's blocking wait for the server
+    // hello, so bound it; afterwards the pump only polls the stream.
     conn.watch(&poller.readiness(STREAM));
+    conn.set_recv_timeout(Some(LINK_TIMEOUT));
     let Ok(chan) = SecureChannel::client_connect(conn, rng) else { return };
     // Fleet binding: the whole fleet shares one channel key, so the
     // primary's fingerprint is our own. A peer presenting any other
@@ -719,7 +741,7 @@ impl ForwardLink {
         let conn = network.connect(addr).ok()?;
         // Bounds the handshake's wait for the server hello too; the
         // channel keeps the connection's timeout.
-        conn.set_recv_timeout(Some(FORWARD_TIMEOUT));
+        conn.set_recv_timeout(Some(LINK_TIMEOUT));
         let mut chan = SecureChannel::client_connect(conn, rng).ok()?;
         if chan.server_key_fingerprint() != *pin {
             return None; // hijacker terminating the link with their own key
@@ -843,6 +865,32 @@ mod tests {
         pump.stop();
         dropper.join().unwrap();
         assert!((1..=12).contains(&dials), "{dials} dials in 1 s under a 100 ms backoff");
+    }
+
+    #[test]
+    fn stop_ends_a_pump_held_by_a_silent_primary_within_the_link_timeout() {
+        let (server, _) = server(0x1b0);
+        let network = Network::new();
+        let listener = network.listen("mute:7443");
+        // Accepts the pump's dial and holds it without a word until the
+        // pump has stopped.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let (dialed_tx, dialed_rx) = std::sync::mpsc::channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let held = listener.accept_timeout(Duration::from_secs(30)).ok();
+            let _ = dialed_tx.send(());
+            let _ = done_rx.recv_timeout(Duration::from_secs(30));
+            held.is_some()
+        });
+        let backoff = Backoff::new(Duration::from_secs(30), Duration::from_secs(30));
+        let pump = follow(server, network, "mute:7443".into(), 1, backoff);
+        dialed_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let stopping = Instant::now();
+        pump.stop();
+        let elapsed = stopping.elapsed();
+        done_tx.send(()).unwrap();
+        assert!(silent.join().unwrap(), "the pump dialed");
+        assert!(elapsed < Duration::from_secs(1), "stop took {elapsed:?}");
     }
 
     #[test]
